@@ -27,13 +27,12 @@ from .measure import tower_identity_check
 from .models import (
     JumpPath,
     MarkovChain,
-    Regime,
     model_label,
     simulate_paths,
 )
 from .output import dump_json, write_csv
 from .pricing import build_curves, log_price_closed_form, price_closed_form, price_mc
-from .verify import NonConvergenceError, monotonicity_violations, verify_dir
+from .verify import NonConvergenceError, verify_dir
 
 __all__ = ["main", "run", "EXIT_OK", "EXIT_USAGE", "EXIT_VERIFY"]
 
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--seed", type=int, default=None,
                        help="override mc.seed from the config")
         q.add_argument("--threads", type=int, default=1,
-                       help="worker threads; results do not depend on this")
+                       help="accepted for compatibility; has no effect")
         return q
 
     add("simulate", "simulate short-rate paths and write them to CSV")
@@ -127,7 +126,7 @@ def _cmd_simulate(args, doc) -> int:
     model = cfg.parse_model(doc)
     grid = cfg.parse_grid(doc)
     n_paths, seed = _mc_params(args, doc)
-    scen = simulate_paths(model, grid, n_paths, seed, threads=args.threads)
+    scen = simulate_paths(model, grid, n_paths, seed)
     times = grid.reporting_times()
     rows = []
     for k, path in enumerate(scen.paths):
@@ -171,17 +170,9 @@ def _cmd_price(args, doc) -> int:
     row: list = [t, T, log_p, closed]
     if "mc" in doc:
         n_paths, seed = _mc_params(args, doc)
-        mc = price_mc(model, None, t, T, n_paths, seed, grid.regime,
-                      threads=args.threads)
-        diff = mc.value - closed
-        # agreement at float precision is exact for z purposes; degenerate
-        # samples otherwise turn rounding noise into a huge z
-        noise = 16.0 * np.finfo(float).eps * max(1.0, abs(closed))
-        if abs(diff) <= noise:
-            z_score = 0.0
-        elif mc.std_error > 0:
-            z_score = diff / mc.std_error
-        else:
+        mc = price_mc(model, None, t, T, n_paths, seed, grid.regime)
+        z_score = mc.z_score(closed)
+        if np.isinf(z_score):
             raise cfg.ConfigError("mc produced a degenerate standard error")
         header = header + ("mc_value", "mc_std_error", "mc_n", "z_score")
         row += [mc.value, mc.std_error, mc.n, z_score]
@@ -292,7 +283,7 @@ def _cmd_verify_measure(args, doc) -> int:
     n_paths, seed = _mc_params(args, doc)
     tolerances = cfg.parse_tolerances(doc)
     report = tower_identity_check(
-        model, s, t, T, grid.regime, n=n_paths, seed=seed, threads=args.threads
+        model, s, t, T, grid.regime, n=n_paths, seed=seed
     )
     passed = report.passed(tolerances["k_sigma"], tolerances["exact_tol"])
     write_csv(
@@ -335,17 +326,12 @@ def _cmd_verify_dir(args, doc) -> int:
         method=tolerances["method"],
         epsilon_multiplier=tolerances["epsilon_multiplier"],
         tol=tolerances["extraction_tol"],
-        threads=args.threads,
-    )
-    violations, epsilon = monotonicity_violations(
-        report.x_s, report.x_t, report.residual_s, report.residual_t,
-        report.epsilon_multiplier,
     )
     flagged = np.zeros(report.n_paths, dtype=bool)
-    flagged[violations] = True
+    flagged[report.violation_indices] = True
     rows = [
         (k, report.x_s[k], report.x_t[k], report.residual_s[k],
-         report.residual_t[k], epsilon[k], bool(flagged[k]))
+         report.residual_t[k], report.epsilon[k], bool(flagged[k]))
         for k in range(report.n_paths)
     ]
     write_csv(

@@ -43,7 +43,8 @@ class LongRateEstimate:
     For tail estimators the residual measures how much the estimate still
     moves with the schedule: last-step change for the plain tail, and the
     difference between the tail-half and all-points fits for reciprocal
-    extrapolation. For the spectral method it is the power-iteration gap.
+    extrapolation. For the spectral method it is the width of the
+    Collatz-Wielandt bracket that holds both the value and the exact root.
     """
 
     value: float
@@ -108,8 +109,11 @@ def perron_long_rate(
 
     Power iteration on the positive cone; the l1 growth ratio converges to
     the dominant eigenvalue, which is the limiting per-period price-growth
-    factor x from every state. Requires the chain to be irreducible and
-    aperiodic, otherwise the limit may not exist or may depend on the state.
+    factor x from every state. Iteration stops once the Collatz-Wielandt
+    bracket around the root is at most ``tol`` wide, and that width is the
+    residual: it bounds the error of the returned ratio. Requires the chain
+    to be irreducible and aperiodic, otherwise the limit may not exist or
+    may depend on the state.
     """
     if not isinstance(model, MarkovChain):
         raise ValueError("spectral long rate is defined for finite chains")
@@ -124,18 +128,16 @@ def perron_long_rate(
 
     discounted = model.discounted_transition()
     v = np.full(model.n_states, 1.0 / model.n_states)
-    previous = None
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         w = discounted @ v
+        # Collatz-Wielandt: for positive v the Perron root lies between the
+        # smallest and largest entry of Dv / v, and so does the l1 ratio
+        bracket = w / v
+        width = float(bracket.max() - bracket.min())
         ratio = float(w.sum() / v.sum())
         v = w / w.sum()
-        if previous is not None:
-            gap = abs(ratio - previous)
-            if gap <= tol and iteration >= 2:
-                return LongRateEstimate(
-                    ratio, ExtractionMethod.SPECTRAL, gap, 0.0, True
-                )
-        previous = ratio
+        if width <= tol:
+            return LongRateEstimate(ratio, ExtractionMethod.SPECTRAL, width, 0.0, True)
     raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
 
 

@@ -138,8 +138,7 @@ def tower_identity_check(
     Chains and constant models are evaluated exactly (gap at float noise);
     jump models average over simulated continuations of [s, t] and report a
     Monte Carlo standard error. s = t reduces to the pricing definition.
-    The continuations are drawn from per-path keyed streams, so ``threads``
-    does not affect the jump-model branch; results never depend on it.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     require_regime(model, regime)
     if not 0 <= s <= t <= T:

@@ -12,10 +12,13 @@ Three model families are supported:
 Per-path randomness is keyed by ``(seed, stream, path_index)`` through the
 counter-based Philox generator. A scenario set is therefore a pure function
 of its arguments: re-running with the same seed reproduces it bit for bit,
-independent of execution order and thread count. Batch consumers that need
-only the jump times (Monte Carlo pricing, the forward-measure check) re-key
-one generator per path instead of building a new one, and draw exactly the
-same streams.
+independent of execution order. Paths are drawn in batches: one generator is
+re-keyed per path, chain steps advance every path at once as an
+``(n_paths, n_steps + 1)`` state matrix, and jump paths keep their own
+jump-time arrays. Consumers that need only states or jump times (Monte Carlo
+pricing, the forward-measure check, the monotonicity certificate) read the
+batches directly and never build path objects. ``threads`` arguments are
+accepted for compatibility and have no effect.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from enum import Enum
 from typing import Iterator, Union
 
 import numpy as np
-
-from .parallel import pmap
 
 __all__ = [
     "Regime",
@@ -77,7 +78,7 @@ class Regime(Enum):
 def path_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Counter-based generator for one path: key = (seed ^ stream, index).
 
-    `_batch_jump_times` reproduces these streams by re-keying a single
+    `_keyed_streams` reproduces these streams by re-keying a single
     generator per path, so both routes draw identical numbers.
     """
     _check_seed(seed)
@@ -357,56 +358,26 @@ def simulate_paths(
     stream: int = STREAM_PATHS,
     threads: int = 1,
 ) -> ScenarioSet:
-    """Simulate n_paths exact paths of the model over the grid's horizon."""
+    """Simulate n_paths exact paths of the model over the grid's horizon.
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     _check_seed(seed)
     require_regime(model, grid.regime)
-    build = _path_builder(model, grid, int(seed), stream)
-    paths = pmap(build, range(n_paths), threads=threads)
-    return ScenarioSet(model, grid, tuple(paths), int(seed))
-
-
-def _path_builder(model: ModelSpec, grid: TimeGrid, seed: int, stream: int):
-    if isinstance(model, ConstantRate):
-        if grid.regime is Regime.CONTINUOUS:
-            flat: ShortRatePath = JumpPath(
-                model.rate, 0.0, np.empty(0), float(grid.horizon)
-            )
-        else:
-            flat = LatticePath(np.full(int(grid.horizon) + 1, model.rate))
-        return lambda index: flat
-
+    horizon = float(grid.horizon)
     if isinstance(model, PoissonJump):
-        horizon = float(grid.horizon)
-
-        def build_jump(index: int) -> JumpPath:
-            rng = path_rng(seed, stream, index)
-            times = _sample_jump_times(rng, model.intensity, horizon)
-            return JumpPath(model.r0, model.delta, times, horizon)
-
-        return build_jump
-
-    if isinstance(model, MarkovChain):
-        cum = np.cumsum(model.transition, axis=1)
-        n_steps = int(grid.horizon)
-        top = model.n_states - 1
-
-        def build_lattice(index: int) -> LatticePath:
-            rng = path_rng(seed, stream, index)
-            u = rng.random(n_steps)
-            states = np.empty(n_steps + 1, dtype=np.int64)
-            state = model.initial_state
-            states[0] = state
-            for k in range(n_steps):
-                # inverse-CDF draw from row `state`; clamp guards u rounding
-                state = min(int(np.searchsorted(cum[state], u[k], side="right")), top)
-                states[k + 1] = state
-            return LatticePath(model.state_rates[states], states)
-
-        return build_lattice
-
-    raise TypeError(f"unknown model type: {type(model).__name__}")
+        batch = _batch_jump_times(model.intensity, horizon, n_paths, seed, stream)
+        paths = tuple(JumpPath(model.r0, model.delta, t, horizon) for t in batch)
+    elif isinstance(model, MarkovChain):
+        states = _batch_chain_states(model, int(horizon), n_paths, seed, stream)
+        paths = tuple(map(LatticePath, model.state_rates[states], states))
+    elif grid.regime is Regime.CONTINUOUS:
+        paths = (JumpPath(model.rate, 0.0, np.empty(0), horizon),) * n_paths
+    else:
+        paths = (LatticePath(np.full(int(horizon) + 1, model.rate)),) * n_paths
+    return ScenarioSet(model, grid, paths, int(seed))
 
 
 def _sample_jump_times(
@@ -424,15 +395,13 @@ def _sample_jump_times(
     return times[: times.searchsorted(horizon, side="right")].copy()
 
 
-def _batch_jump_times(
-    intensity: float, horizon: float, n: int, seed: int, stream: int
-) -> Iterator[np.ndarray]:
-    """Jump times on [0, horizon] of paths 0..n-1, as `simulate_paths` draws them.
+def _keyed_streams(n: int, seed: int, stream: int) -> Iterator[np.random.Generator]:
+    """Generators that draw as ``path_rng(seed, stream, i)`` for i = 0..n-1.
 
-    Path i gets exactly ``_sample_jump_times(path_rng(seed, stream, i), ...)``.
     Rather than building a generator per path, one Philox generator is reset
     to the state a freshly keyed one starts in (key ``(seed ^ stream, i)``,
     zero counter, empty buffer), which costs a fraction of the construction.
+    Each yielded generator is the same object, valid until the next is drawn.
     """
     _check_seed(seed)
     key = np.array([(int(seed) ^ int(stream)) & _MASK64, 0], dtype=np.uint64)
@@ -440,13 +409,73 @@ def _batch_jump_times(
     fresh = bit_gen.state  # a copy; only its key's path index changes below
     rng = np.random.Generator(bit_gen)
 
-    def draw() -> Iterator[np.ndarray]:
+    def rekey() -> Iterator[np.random.Generator]:
         for index in range(n):
             fresh["state"]["key"][1] = index
             bit_gen.state = fresh
-            yield _sample_jump_times(rng, intensity, horizon)
+            yield rng
 
-    return draw()
+    return rekey()
+
+
+def _batch_jump_times(
+    intensity: float, horizon: float, n: int, seed: int, stream: int
+) -> Iterator[np.ndarray]:
+    """Jump times on [0, horizon] of paths 0..n-1, as `simulate_paths` draws them."""
+    return (
+        _sample_jump_times(rng, intensity, horizon)
+        for rng in _keyed_streams(n, seed, stream)
+    )
+
+
+def _batch_chain_states(
+    model: MarkovChain, n_steps: int, n: int, seed: int, stream: int
+) -> np.ndarray:
+    """States of chain paths 0..n-1 over n_steps periods, one row per path.
+
+    Row i is the path that ``path_rng(seed, stream, i)`` draws: its uniforms
+    ``rng.random(n_steps)`` pick each next state by inverse CDF from the
+    current state's cumulative transition row. Each step advances every path
+    at once, with one ``searchsorted`` per occupied state, so no temporary
+    grows with n_paths times n_states.
+    """
+    draws = np.empty((n, n_steps))
+    for row, rng in zip(draws, _keyed_streams(n, seed, stream)):
+        rng.random(out=row)
+    cum = np.cumsum(model.transition, axis=1)
+    states = np.empty((n, n_steps + 1), dtype=np.int64)
+    states[:, 0] = model.initial_state
+    for k in range(n_steps):
+        now, nxt, u = states[:, k], states[:, k + 1], draws[:, k]
+        for i in np.unique(now):
+            rows = now == i
+            nxt[rows] = cum[i].searchsorted(u[rows], side="right")
+        # the clamp guards u above a row sum rounded below 1
+        np.minimum(nxt, model.n_states - 1, out=nxt)
+    return states
+
+
+def _batch_states(
+    model: ModelSpec, horizon, times, n: int, seed: int
+) -> np.ndarray | None:
+    """`state_at` of paths 0..n-1 of `simulate_paths` over [0, horizon].
+
+    Row i holds path i's states at the given times; constant models have no
+    state and give None. No path objects are built.
+    """
+    if isinstance(model, ConstantRate):
+        return None
+    if isinstance(model, MarkovChain):
+        periods = [_as_period(u, int(horizon)) for u in times]
+        states = _batch_chain_states(model, int(horizon), n, seed, STREAM_PATHS)
+        return states[:, periods]
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0) or np.any(times > horizon):
+        raise ValueError("time outside [0, horizon]")
+    batch = _batch_jump_times(model.intensity, float(horizon), n, seed, STREAM_PATHS)
+    counts = np.array([jumps.searchsorted(times, side="right") for jumps in batch])
+    # exact float: r0 + delta * (jump count), the arithmetic of JumpPath.rate_at
+    return model.r0 + model.delta * counts
 
 
 def _integral_from_zero(

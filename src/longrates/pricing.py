@@ -25,6 +25,7 @@ from .models import (
     Regime,
     STREAM_PRICING,
     TimeGrid,
+    _batch_chain_states,
     _batch_jump_times,
     _integral_from_zero,
     bank_account,
@@ -55,6 +56,17 @@ class McEstimate:
     value: float
     std_error: float
     n: int
+
+    def z_score(self, reference: float) -> float:
+        """Standard errors from a reference value; agreement at float
+        precision is exact (0.0), so degenerate samples cannot turn rounding
+        noise into a huge z. A real gap with no standard error gives inf."""
+        diff = self.value - reference
+        if abs(diff) <= 16.0 * np.finfo(float).eps * max(1.0, abs(reference)):
+            return 0.0
+        if self.std_error > 0:
+            return diff / self.std_error
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +202,9 @@ def price_mc(
 ) -> McEstimate:
     """Monte Carlo price: mean of 1 / bank_account over restarted paths.
 
-    Jump models draw each path's jump times from its own keyed stream and
-    discount them directly, without building path objects; ``threads`` does
-    not affect that branch. Results never depend on ``threads``.
+    Jump models and chains draw each path from its own keyed stream and
+    discount it directly, without building path objects. ``threads`` is
+    accepted for compatibility and has no effect.
     """
     require_regime(model, regime)
     if T < t:
@@ -217,16 +229,20 @@ def price_mc(
             math.exp(-_integral_from_zero(r0, delta, times, window))
             for times in batch
         ])
+    elif isinstance(restarted, MarkovChain):
+        states = _batch_chain_states(restarted, window, n, seed, STREAM_PRICING)
+        # row-wise products of the growth factors before the window's end,
+        # the arithmetic of bank_account
+        growth = 1.0 + restarted.state_rates[states[:, :window]]
+        samples = 1.0 / np.prod(growth, axis=1)
     else:
-        scen = simulate_paths(
-            restarted, grid, n, seed, stream=STREAM_PRICING, threads=threads
-        )
+        # constant model: every path is the same flat path
+        path = simulate_paths(restarted, grid, 1, seed).paths[0]
         if regime is Regime.CONTINUOUS:
-            samples = np.array(
-                [math.exp(-p.integrated(0.0, window)) for p in scen.paths]
-            )
+            sample = math.exp(-path.integrated(0.0, window))
         else:
-            samples = np.array([1.0 / bank_account(p, window) for p in scen.paths])
+            sample = 1.0 / bank_account(path, window)
+        samples = np.full(n, sample)
     value = float(samples.mean())
     std_error = float(samples.std(ddof=1) / math.sqrt(n))
     return McEstimate(value, std_error, n)

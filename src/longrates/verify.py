@@ -23,14 +23,12 @@ from .models import (
     PoissonJump,
     Regime,
     STREAM_CONTINUATION,
-    TimeGrid,
+    _batch_states,
     model_label,
     path_rng,
     require_regime,
-    simulate_paths,
-    state_at,
 )
-from .pricing import build_curves, price_closed_form, price_mc
+from .pricing import build_curves, chain_log_prices, price_closed_form, price_mc
 
 __all__ = [
     "NonConvergenceError",
@@ -59,10 +57,10 @@ class MonotonicityReport:
     """Per-path long-rate comparison between two observation times.
 
     A violation is a path where x at the later time exceeds x at the earlier
-    time by more than epsilon_multiplier * (sum of the two extraction
-    residuals) plus a float-precision floor. `change_quantiles` summarizes
-    x(t) - x(s) across paths; genuine moves are one-sided (never positive
-    beyond tolerance).
+    time by more than its tolerance `epsilon`: epsilon_multiplier * (sum of
+    the two extraction residuals) plus a float-precision floor.
+    `change_quantiles` summarizes x(t) - x(s) across paths; genuine moves
+    are one-sided (never positive beyond tolerance).
     """
 
     model_id: str
@@ -74,6 +72,7 @@ class MonotonicityReport:
     residual_s: np.ndarray
     residual_t: np.ndarray
     epsilon_multiplier: float
+    epsilon: np.ndarray
     epsilon_max: float
     n_violations: int
     violation_indices: np.ndarray
@@ -126,13 +125,14 @@ def verify_dir(
 
     The maturity schedule lists times to maturity appended to each
     observation time. Conditioning on the information at s and t uses the
-    Markov state there, so each distinct state is priced once and shared by
-    all paths that visit it. Extractions that fail to stabilize on more than
-    1% of paths abort with NonConvergenceError.
+    Markov state there, read off the batch sampler without building paths,
+    so each distinct state is priced and extracted once and shared by all
+    paths that visit it. Extractions that fail to stabilize on more than 1%
+    of paths abort with NonConvergenceError. ``threads`` has no effect.
     """
     require_regime(model, regime)
-    if not 0 <= s < t:
-        raise ValueError("need 0 <= s < t")
+    if not 0 <= s < t < math.inf:
+        raise ValueError("need 0 <= s < t < inf")
     taus = np.asarray(maturity_schedule, dtype=float)
     if taus.size < 4 or np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
         raise ValueError("maturity schedule must be >= 4 increasing positive times")
@@ -144,35 +144,40 @@ def verify_dir(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
 
-    grid = TimeGrid(
-        regime,
-        t if regime is Regime.CONTINUOUS else int(t),
-        output_step=float(t) if regime is Regime.CONTINUOUS else None,
-    )
-    scen = simulate_paths(model, grid, n_paths, seed, threads=threads)
-    states_s = [state_at(model, p, s) for p in scen.paths]
-    states_t = [state_at(model, p, t) for p in scen.paths]
+    states = _batch_states(model, t, (s, t), n_paths, seed)
+    if isinstance(model, MarkovChain):
+        # time-homogeneous: log P(obs, obs + tau) from state i depends on tau
+        # only, so one pricing pass serves both observation times
+        log_prices = chain_log_prices(model, taus)
+        table = np.column_stack([log_prices[int(tau)] for tau in taus])
 
-    cache: dict[tuple, object] = {}
+    def estimate(column: int, obs: float) -> tuple[np.ndarray, ...]:
+        """Value, residual and convergence per path at obs, with one
+        extraction per distinct state."""
+        if states is None:
+            distinct, inverse = [None], np.zeros(n_paths, dtype=np.intp)
+        else:
+            distinct, inverse = np.unique(states[:, column], return_inverse=True)
+        if isinstance(model, MarkovChain):
+            curves = np.exp(table[distinct] / (obs + taus))
+        else:
+            curves = [
+                build_curves(model, state, obs, obs + taus, regime)[1].x
+                for state in distinct
+            ]
+        ests = [
+            extract_long_rate(np.column_stack([taus, x]), method, tol) for x in curves
+        ]
+        return tuple(
+            np.array([getattr(e, name) for e in ests])[inverse]
+            for name in ("value", "residual", "converged")
+        )
 
-    def estimate(obs: float, state) -> object:
-        key = (obs, state)
-        if key not in cache:
-            _, rates = build_curves(model, state, obs, obs + taus, regime)
-            pairs = np.column_stack([taus, rates.x])
-            cache[key] = extract_long_rate(pairs, method, tol)
-        return cache[key]
-
-    est_s = [estimate(float(s), st) for st in states_s]
-    est_t = [estimate(float(t), st) for st in states_t]
-    x_s = np.array([e.value for e in est_s])
-    x_t = np.array([e.value for e in est_t])
-    res_s = np.array([e.residual for e in est_s])
-    res_t = np.array([e.residual for e in est_t])
-    n_nonconv = sum(1 for e in est_s if not e.converged)
-    n_nonconv += sum(1 for e in est_t if not e.converged)
+    x_s, res_s, conv_s = estimate(0, float(s))
+    x_t, res_t, conv_t = estimate(1, float(t))
+    n_nonconv = int(n_paths - conv_s.sum() + n_paths - conv_t.sum())
     if n_nonconv > 0.01 * (2 * n_paths):
-        worst = max(max(res_s), max(res_t))
+        worst = max(res_s.max(), res_t.max())
         raise NonConvergenceError(
             f"{n_nonconv} of {2 * n_paths} extractions exceeded tol={tol:g} "
             f"(worst residual {worst:.3e}); extend the maturity schedule"
@@ -210,6 +215,7 @@ def verify_dir(
         residual_s=res_s,
         residual_t=res_t,
         epsilon_multiplier=float(epsilon_multiplier),
+        epsilon=epsilon,
         epsilon_max=float(epsilon.max()),
         n_violations=int(violations.size),
         violation_indices=violations,
@@ -303,20 +309,10 @@ def run_poisson_example(
     pricing = []
     for T in mc_maturities:
         closed = price_closed_form(model, None, 0.0, float(T), regime)
-        mc = price_mc(model, None, 0.0, float(T), n_mc, seed, regime, threads=threads)
-        diff = mc.value - closed
-        # agreement at float precision counts as exact; degenerate samples
-        # otherwise produce a z-score made entirely of rounding noise
-        noise = 16.0 * np.finfo(float).eps * max(1.0, abs(closed))
-        if abs(diff) <= noise:
-            z_score = 0.0
-        elif mc.std_error > 0:
-            z_score = diff / mc.std_error
-        else:
-            z_score = math.inf
-        pricing.append(
-            PricingCheckRow(float(T), closed, mc.value, mc.std_error, z_score)
-        )
+        mc = price_mc(model, None, 0.0, float(T), n_mc, seed, regime)
+        pricing.append(PricingCheckRow(
+            float(T), closed, mc.value, mc.std_error, mc.z_score(closed)
+        ))
 
     taus = np.asarray(maturity_schedule, dtype=float)
     monotonicity = verify_dir(
@@ -324,19 +320,15 @@ def run_poisson_example(
         method=ExtractionMethod.RECIPROCAL_EXTRAPOLATION,
         epsilon_multiplier=epsilon_multiplier,
         tol=tol,
-        threads=threads,
     )
 
     # long-zero identity at t, one extraction per distinct state
-    grid = TimeGrid(regime, float(t), output_step=float(t))
-    scen = simulate_paths(model, grid, n_paths, seed, threads=threads)
-    states = sorted({state_at(model, p, t) for p in scen.paths} - {None})
-    if not states:
-        states = [None]
+    states = _batch_states(model, float(t), (t,), n_paths, seed)
+    distinct = [None] if states is None else np.unique(states[:, 0]).tolist()
     gap_max = 0.0
     bound_max = 0.0
     identity_ok = True
-    for state in states:
+    for state in distinct:
         _, rates = build_curves(model, state, float(t), float(t) + taus, regime)
         est = extract_long_rate(
             np.column_stack([taus, rates.zero]),

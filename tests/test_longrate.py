@@ -109,6 +109,15 @@ class TestPerron:
         dominant = float(np.max(np.abs(eigs)))
         assert perron_long_rate(chain).value == pytest.approx(dominant, abs=1e-10)
 
+    def test_residual_bounds_the_error_on_a_slowly_mixing_chain(self):
+        # successive power-iteration ratios creep by less than 1e-12 a step
+        # long before they reach the root, so only a bracket is an honest bound
+        chain = MarkovChain([0.0, 0.001], [[1 - 1e-4, 1e-4], [1e-4, 1 - 1e-4]], 0)
+        est = perron_long_rate(chain)
+        root = float(np.max(np.abs(np.linalg.eigvals(chain.discounted_transition()))))
+        assert est.converged
+        assert abs(est.value - root) <= est.residual <= 1e-12
+
     def test_reducible_chain_rejected(self):
         chain = MarkovChain([0.0, 0.1], [[1.0, 0.0], [0.5, 0.5]], 0)
         with pytest.raises(ValueError, match="reducible"):

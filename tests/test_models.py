@@ -15,7 +15,9 @@ from longrates.models import (
     STREAM_PATHS,
     STREAM_PRICING,
     TimeGrid,
+    _batch_chain_states,
     _batch_jump_times,
+    _batch_states,
     _integral_from_zero,
     _sample_jump_times,
     bank_account,
@@ -148,6 +150,45 @@ class TestRng:
     def test_batch_rejects_bad_seed_before_drawing(self):
         with pytest.raises(ValueError):
             _batch_jump_times(0.5, 1.0, 3, -1, STREAM_PATHS)
+
+    @pytest.mark.parametrize("seed,stream,index", [
+        (0, STREAM_PATHS, 0),
+        (42, STREAM_PRICING, 5),
+        (20260819, STREAM_CONTINUATION, 17),
+        (2**64 - 1, STREAM_PRICING, 3),
+        (STREAM_PATHS, STREAM_PATHS, 9),
+    ])
+    def test_chain_batch_rows_match_path_rng(self, seed, stream, index):
+        # row i must be the path that a freshly keyed path_rng(seed, stream, i)
+        # draws, stepped one state at a time by searchsorted on the CDF rows
+        chain = MarkovChain(
+            [0.0, 0.02, 0.05],
+            [[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]],
+            1,
+        )
+        n_steps = 12
+        states = _batch_chain_states(chain, n_steps, index + 1, seed, stream)
+        assert states.shape == (index + 1, n_steps + 1)
+        cum = np.cumsum(chain.transition, axis=1)
+        for i in (0, index):
+            u = path_rng(seed, stream, i).random(n_steps)
+            want = [chain.initial_state]
+            for k in range(n_steps):
+                nxt = int(np.searchsorted(cum[want[-1]], u[k], side="right"))
+                want.append(min(nxt, chain.n_states - 1))
+            assert states[i].tolist() == want
+
+    def test_batch_states_match_state_at(self):
+        grid = TimeGrid(Regime.CONTINUOUS, 6.0, 6.0)
+        model = PoissonJump(0.05, 0.1, 0.5)
+        times = (0.0, 2.5, 6.0)
+        scen = simulate_paths(model, grid, 50, 4)
+        got = _batch_states(model, 6.0, times, 50, 4)
+        want = [[state_at(model, p, u) for u in times] for p in scen.paths]
+        assert got.tolist() == want
+        assert _batch_states(ConstantRate(0.03), 6.0, times, 50, 4) is None
+        with pytest.raises(ValueError, match="horizon"):
+            _batch_states(model, 6.0, (7.0,), 5, 4)
 
 
 class TestJumpPath:

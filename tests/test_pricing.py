@@ -13,6 +13,7 @@ from longrates.models import (
     Regime,
     STREAM_PRICING,
     TimeGrid,
+    bank_account,
     conditioned,
     simulate_paths,
 )
@@ -169,6 +170,30 @@ class TestPriceMc:
             n,
         )
         assert price_mc(POISSON, state, t, T, n, seed, Regime.CONTINUOUS) == want
+
+    @pytest.mark.parametrize("state,t,T", [(None, 0, 1), (2, 3, 9), (0, 0, 40)])
+    def test_chain_mc_equals_per_path_route(self, state, t, T):
+        # the batch route discounts state rows directly; it must give the
+        # same floats as 1 / bank_account over the simulated paths
+        n, seed = 500, 13
+        grid = TimeGrid(Regime.DISCRETE, T - t)
+        scen = simulate_paths(
+            conditioned(CHAIN3, state), grid, n, seed, stream=STREAM_PRICING
+        )
+        samples = np.array([1.0 / bank_account(p, T - t) for p in scen.paths])
+        want = McEstimate(
+            float(samples.mean()),
+            float(samples.std(ddof=1) / math.sqrt(n)),
+            n,
+        )
+        assert price_mc(CHAIN3, state, t, T, n, seed, Regime.DISCRETE) == want
+
+    def test_z_score(self):
+        est = McEstimate(1.0, 0.1, 10)
+        assert est.z_score(0.8) == pytest.approx(2.0)
+        assert est.z_score(1.0 + 1e-16) == 0.0  # agreement at float precision
+        assert McEstimate(1.0, 0.0, 10).z_score(0.5) == math.inf
+        assert McEstimate(1.0, 0.0, 10).z_score(1.0) == 0.0
 
     def test_degenerate_window(self):
         mc = price_mc(SYM2, None, 3, 3, 10, 0, Regime.DISCRETE)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from longrates.longrate import ExtractionMethod, perron_long_rate
-from longrates.models import MarkovChain, PoissonJump, Regime
+from longrates import pricing, verify
+from longrates.longrate import ExtractionMethod, extract_long_rate, perron_long_rate
+from longrates.models import (
+    MarkovChain, PoissonJump, Regime, TimeGrid, simulate_paths, state_at,
+)
+from longrates.pricing import build_curves
 from longrates.verify import (
     NonConvergenceError,
     monotonicity_violations,
@@ -14,6 +18,35 @@ from longrates.verify import (
 SYM2 = MarkovChain([0.0, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
 POISSON = PoissonJump(0.05, 0.1, 0.5)
 SCHEDULE = (125, 250, 500, 1000)
+_RNG = np.random.default_rng(16)
+CHAIN16 = MarkovChain(
+    _RNG.uniform(0.0, 0.1, 16), _RNG.dirichlet(np.ones(16), size=16), 5
+)
+
+
+def per_path_reference(model, s, t, n_paths, seed, regime):
+    """x and residuals at s and t, path object by path object:
+    simulate_paths -> state_at -> build_curves -> extract_long_rate, with
+    each (time, state) curve built once."""
+    taus = np.asarray(SCHEDULE, dtype=float)
+    continuous = regime is Regime.CONTINUOUS
+    horizon = t if continuous else int(t)
+    grid = TimeGrid(regime, horizon, float(t) if continuous else None)
+    scen = simulate_paths(model, grid, n_paths, seed)
+    cache = {}
+
+    def estimate(obs, state):
+        if (obs, state) not in cache:
+            _, rates = build_curves(model, state, obs, obs + taus, regime)
+            cache[obs, state] = extract_long_rate(np.column_stack([taus, rates.x]))
+        return cache[obs, state]
+
+    out = []
+    for obs in (float(s), float(t)):
+        ests = [estimate(obs, state_at(model, path, obs)) for path in scen.paths]
+        out.append(np.array([e.value for e in ests]))
+        out.append(np.array([e.residual for e in ests]))
+    return out
 
 
 class TestViolationRule:
@@ -86,6 +119,36 @@ class TestVerifyDir:
         )
         assert np.array_equal(a.x_s, b.x_s)
         assert np.array_equal(a.x_t, b.x_t)
+
+    @pytest.mark.parametrize("model,s,t,regime", [
+        (CHAIN16, 2, 7, Regime.DISCRETE),
+        (POISSON, 0.5, 4.0, Regime.CONTINUOUS),
+    ])
+    def test_equals_the_per_path_reference(self, model, s, t, regime):
+        x_s, res_s, x_t, res_t = per_path_reference(model, s, t, 150, 8, regime)
+        report = verify_dir(model, s, t, SCHEDULE, 150, 8, regime)
+        assert np.array_equal(report.x_s, x_s)
+        assert np.array_equal(report.x_t, x_t)
+        assert np.array_equal(report.residual_s, res_s)
+        assert np.array_equal(report.residual_t, res_t)
+        idx, eps = monotonicity_violations(x_s, x_t, res_s, res_t, 3.0)
+        assert np.array_equal(report.violation_indices, idx)
+        assert np.array_equal(report.epsilon, eps)
+        assert report.epsilon_max == eps.max()
+
+    def test_one_chain_pricing_pass_per_certificate(self, monkeypatch):
+        calls = []
+        real = pricing.chain_log_prices
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # the certificate may price through either module's name
+        monkeypatch.setattr(pricing, "chain_log_prices", counted)
+        monkeypatch.setattr(verify, "chain_log_prices", counted)
+        verify_dir(CHAIN16, 2, 7, SCHEDULE, 400, 3, Regime.DISCRETE)
+        assert len(calls) == 1
 
     def test_short_schedule_aborts_instead_of_passing(self):
         with pytest.raises(NonConvergenceError, match="extend the maturity"):
