@@ -45,12 +45,9 @@ from .models import (
     ScenarioSet,
     TimeGrid,
     bank_account,
-    conditioned,
     integrated_rate,
-    model_label,
     path_rng,
     simulate_paths,
-    state_at,
 )
 from .pricing import (
     DiscountCurve,
@@ -86,8 +83,8 @@ __all__ = [
     "ForwardWeights", "TowerReport", "forward_expectation", "rn_weights",
     "tower_identity_check",
     "ConstantRate", "JumpPath", "LatticePath", "MarkovChain", "PoissonJump",
-    "Regime", "ScenarioSet", "TimeGrid", "bank_account", "conditioned",
-    "integrated_rate", "model_label", "path_rng", "simulate_paths", "state_at",
+    "Regime", "ScenarioSet", "TimeGrid", "bank_account", "integrated_rate",
+    "path_rng", "simulate_paths",
     "DiscountCurve", "McEstimate", "RateCurve", "build_curves",
     "chain_log_prices", "curves_from_log_prices", "log_price_closed_form",
     "price_closed_form", "price_mc", "short_rate_consistency",

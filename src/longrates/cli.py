@@ -17,19 +17,9 @@ import numpy as np
 
 from . import config as cfg
 from .finiteprob import pnorm_liminf_bound
-from .longrate import (
-    ExtractionMethod,
-    extract_long_rate,
-    long_zero_from_x,
-    perron_long_rate,
-)
+from .longrate import ExtractionMethod, extract_long_rate, long_zero_from_x
 from .measure import tower_identity_check
-from .models import (
-    JumpPath,
-    MarkovChain,
-    model_label,
-    simulate_paths,
-)
+from .models import simulate_paths
 from .output import dump_json, write_csv
 from .pricing import build_curves, log_price_closed_form, price_closed_form, price_mc
 from .verify import NonConvergenceError, verify_dir
@@ -130,16 +120,12 @@ def _cmd_simulate(args, doc) -> int:
     times = grid.reporting_times()
     rows = []
     for k, path in enumerate(scen.paths):
-        if isinstance(path, JumpPath):
-            rates = path.rate_at(times)
-        else:
-            rates = path.rates[np.asarray(times, dtype=int)]
-        for u, r in zip(times, rates):
+        for u, r in zip(times, path.rate_at(times)):
             rows.append((k, u, float(r)))
     n_rows = write_csv(args.out / "paths.csv", ("path", "time", "rate"), rows)
     dump_json(args.out / "summary.json", {
         "command": "simulate",
-        "model": model_label(model),
+        "model": model.label,
         "regime": grid.regime.value,
         "horizon": float(grid.horizon),
         "n_paths": n_paths,
@@ -159,7 +145,7 @@ def _cmd_price(args, doc) -> int:
     closed = price_closed_form(model, None, t, T, grid.regime)
     summary = {
         "command": "price",
-        "model": model_label(model),
+        "model": model.label,
         "regime": grid.regime.value,
         "t": t,
         "T": T,
@@ -210,7 +196,7 @@ def _cmd_curve(args, doc) -> int:
     )
     dump_json(args.out / "summary.json", {
         "command": "curve",
-        "model": model_label(model),
+        "model": model.label,
         "regime": grid.regime.value,
         "t": t,
         "n_maturities": int(taus.size),
@@ -243,7 +229,7 @@ def _cmd_long_rate(args, doc) -> int:
              est.T_used, est.converged)]
     summary = {
         "command": "long-rate",
-        "model": model_label(model),
+        "model": model.label,
         "regime": grid.regime.value,
         "t": t,
         "quantity": quantity,
@@ -254,8 +240,8 @@ def _cmd_long_rate(args, doc) -> int:
         "T_used": est.T_used,
         "converged": bool(est.converged),
     }
-    if isinstance(model, MarkovChain):
-        spectral = perron_long_rate(model)
+    spectral = model._spectral()
+    if spectral is not None:
         spectral_value = spectral.value
         if quantity == "zero":
             spectral_value = long_zero_from_x(spectral.value, grid.regime)
@@ -294,7 +280,7 @@ def _cmd_verify_measure(args, doc) -> int:
     )
     dump_json(args.out / "summary.json", {
         "command": "verify-measure",
-        "model": model_label(model),
+        "model": model.label,
         "regime": grid.regime.value,
         "s": s,
         "t": t,

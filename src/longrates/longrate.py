@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import networkx as nx
 import numpy as np
 
-from .models import MarkovChain, ModelSpec, Regime, require_regime
+from .models import MarkovChain, ModelSpec, Regime
 from .pricing import build_curves
 
 __all__ = [
@@ -117,13 +116,21 @@ def perron_long_rate(
     """
     if not isinstance(model, MarkovChain):
         raise ValueError("spectral long rate is defined for finite chains")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(model.n_states))
-    for i, j in zip(*np.nonzero(model.transition > 0)):
-        graph.add_edge(int(i), int(j))
-    if not nx.is_strongly_connected(graph):
+    n = model.n_states
+    edges = model.transition > 0
+    # strongly connected: squaring I | edges k times joins every pair linked
+    # by a walk of at most 2**k steps, and n - 1 steps suffice
+    reach = (edges | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(n.bit_length()):
+        reach = ((reach @ reach) > 0).astype(float)
+    if not reach.all():
         raise ValueError("chain is reducible; the long rate may depend on the state")
-    if not nx.is_aperiodic(graph):
+    # aperiodic (Wielandt): an irreducible pattern is primitive iff its power
+    # (n - 1)**2 + 1 is positive, and later powers of it stay positive
+    power = edges.astype(float)
+    for _ in range(((n - 1) ** 2).bit_length()):
+        power = ((power @ power) > 0).astype(float)
+    if not power.all():
         raise ValueError("chain is periodic; the price-growth limit need not exist")
 
     discounted = model.discounted_transition()
@@ -164,7 +171,6 @@ def forward_zero_gap(
     model: ModelSpec, state, t: float, maturities
 ) -> ForwardZeroGap:
     """Gap between forward and zero curves from one state, per maturity."""
-    require_regime(model, Regime.DISCRETE)
     _, rates = build_curves(model, state, t, maturities, Regime.DISCRETE)
     gaps = np.abs(rates.forward - rates.zero)
     return ForwardZeroGap(rates.maturities, gaps)

@@ -9,6 +9,21 @@ Three model families are supported:
   jump times, so rate integrals carry no discretization error.
 - ``MarkovChain``: discrete-time chain over finitely many one-period rates.
 
+The three share one protocol, so no caller needs to know which one it holds:
+``regimes`` and ``require_regime(regime)``; ``label``; ``initial_state``;
+``conditioned(state)``, the model restarted from a state; ``rate_of(state)``,
+the short rate in a state; ``state_at(path, u)``, a path's state at time u;
+and ``log_price_table(states, t, maturities, regime)``, log P(t, T) with one
+row per state and one column per maturity. Private hooks serve the batch
+layers: ``_paths`` (scenario paths), ``_states_at`` (path states at given
+times), ``_mc_discounts`` (Monte Carlo discounts), ``_tower`` (the
+forward-measure check) and ``_spectral`` (the exact long rate, chains only).
+
+Every model is Markov in its state, and a state is encoded as the current
+rate for the jump model, the chain index for the chain, and None for the
+constant model, which has a single state (written 0 in batch state arrays).
+None always means the initial state.
+
 Per-path randomness is keyed by ``(seed, stream, path_index)`` through the
 counter-based Philox generator. A scenario set is therefore a pure function
 of its arguments: re-running with the same seed reproduces it bit for bit,
@@ -17,8 +32,7 @@ re-keyed per path, chain steps advance every path at once as an
 ``(n_paths, n_steps + 1)`` state matrix, and jump paths keep their own
 jump-time arrays. Consumers that need only states or jump times (Monte Carlo
 pricing, the forward-measure check, the monotonicity certificate) read the
-batches directly and never build path objects. ``threads`` arguments are
-accepted for compatibility and have no effect.
+batches directly and never build path objects.
 """
 
 from __future__ import annotations
@@ -46,13 +60,6 @@ __all__ = [
     "simulate_paths",
     "bank_account",
     "integrated_rate",
-    "conditioned",
-    "initial_state_of",
-    "state_at",
-    "current_rate",
-    "supported_regimes",
-    "require_regime",
-    "model_label",
     "STREAM_PATHS",
     "STREAM_PRICING",
     "STREAM_CONTINUATION",
@@ -133,24 +140,93 @@ class TimeGrid:
         return times
 
 
+class _Model:
+    """Members the three model classes share; see the module docstring."""
+
+    def require_regime(self, regime: Regime) -> None:
+        if regime not in self.regimes:
+            raise ValueError(
+                f"{self.label} does not support the {regime.value} regime"
+            )
+
+    def _spectral(self):
+        """Exact long rate as a `LongRateEstimate`, where one is known."""
+        return None
+
+
 @dataclass(frozen=True)
-class ConstantRate:
+class ConstantRate(_Model):
     """Flat short rate; valid in both time regimes."""
 
     rate: float
+
+    regimes = frozenset((Regime.DISCRETE, Regime.CONTINUOUS))
+    initial_state = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.rate):
             raise ValueError("constant rate must be finite")
 
+    @property
+    def label(self) -> str:
+        return f"constant(rate={self.rate:g})"
+
+    def require_regime(self, regime: Regime) -> None:
+        super().require_regime(regime)
+        if regime is Regime.DISCRETE and self.rate <= -1.0:
+            raise ValueError("discrete constant rate must satisfy 1 + R > 0")
+
+    def conditioned(self, state=None) -> ConstantRate:
+        return self
+
+    def rate_of(self, state=None) -> float:
+        return float(self.rate)
+
+    def state_at(self, path, u) -> None:
+        return None
+
+    def log_price_table(self, states, t, maturities, regime: Regime) -> np.ndarray:
+        self.require_regime(regime)
+        if regime is Regime.DISCRETE:
+            row = -_periods(t, maturities) * math.log1p(self.rate)
+        else:
+            row = -self.rate * (np.asarray(maturities, dtype=float) - t)
+        return np.tile(row, (len(states), 1))
+
+    def _paths(self, grid: TimeGrid, n: int, seed: int, stream: int) -> tuple:
+        # every path is the same flat path
+        if grid.regime is Regime.CONTINUOUS:
+            return (JumpPath(self.rate, 0.0, np.empty(0), float(grid.horizon)),) * n
+        return (LatticePath(np.full(int(grid.horizon) + 1, self.rate)),) * n
+
+    def _states_at(self, horizon, times, n: int, seed: int) -> np.ndarray:
+        return np.zeros((n, len(times)))
+
+    def _mc_discounts(self, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
+        _check_seed(seed)
+        path = self._paths(grid, 1, seed, STREAM_PRICING)[0]
+        return np.full(n, path.discount(0, grid.horizon))
+
+    def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
+        from . import pricing
+
+        lhs = pricing.price_closed_form(self, None, s, T, regime)
+        # deterministic bank account: B_s / B_t = P(s, t)
+        rhs = pricing.price_closed_form(
+            self, None, s, t, regime
+        ) * pricing.price_closed_form(self, None, t, T, regime)
+        return lhs, rhs, rhs - lhs, 0.0, 0, True
+
 
 @dataclass(frozen=True)
-class PoissonJump:
+class PoissonJump(_Model):
     """Short rate r0 + delta * N_u, N a Poisson process with rate `intensity`."""
 
     r0: float
     delta: float
     intensity: float
+
+    regimes = frozenset((Regime.CONTINUOUS,))
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.r0):
@@ -160,14 +236,103 @@ class PoissonJump:
         if not (math.isfinite(self.intensity) and self.intensity > 0):
             raise ValueError("intensity must be positive")
 
+    @property
+    def label(self) -> str:
+        return (
+            f"poisson_jump(r0={self.r0:g}, delta={self.delta:g}, "
+            f"intensity={self.intensity:g})"
+        )
+
+    @property
+    def initial_state(self) -> float:
+        return self.r0
+
+    def conditioned(self, state=None) -> PoissonJump:
+        r_now = self.r0 if state is None else float(state)
+        if r_now < self.r0 - 1e-12:
+            raise ValueError("jump-model rate cannot fall below r0")
+        return dataclasses.replace(self, r0=r_now)
+
+    def rate_of(self, state=None) -> float:
+        return float(self.r0 if state is None else state)
+
+    def state_at(self, path: JumpPath, u) -> float:
+        # exact float: r0 + delta * (jump count), same arithmetic as rate_at
+        return float(path.rate_at(float(u)))
+
+    def log_price_table(self, states, t, maturities, regime: Regime) -> np.ndarray:
+        self.require_regime(regime)
+        lam, delta = self.intensity, self.delta
+        tau = np.asarray(maturities, dtype=float) - t
+        # math.expm1, as np.expm1 can differ from it in the last bit
+        decay = np.array([math.expm1(-delta * x) for x in tau])
+        rates = np.array([self.rate_of(state) for state in states])[:, None]
+        return -rates * tau - lam * tau - lam * decay / delta
+
+    def _paths(self, grid: TimeGrid, n: int, seed: int, stream: int) -> tuple:
+        horizon = float(grid.horizon)
+        batch = _batch_jump_times(self.intensity, horizon, n, seed, stream)
+        return tuple(JumpPath(self.r0, self.delta, t, horizon) for t in batch)
+
+    def _states_at(self, horizon, times, n: int, seed: int) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        if np.any(times < 0) or np.any(times > horizon):
+            raise ValueError("time outside [0, horizon]")
+        batch = _batch_jump_times(self.intensity, float(horizon), n, seed, STREAM_PATHS)
+        counts = np.array([jumps.searchsorted(times, side="right") for jumps in batch])
+        # exact float: r0 + delta * (jump count), the arithmetic of JumpPath.rate_at
+        return self.r0 + self.delta * counts
+
+    def _mc_discounts(self, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
+        window = float(grid.horizon)
+        batch = _batch_jump_times(self.intensity, window, n, seed, STREAM_PRICING)
+        return np.array([
+            math.exp(-_integral_from_zero(self.r0, self.delta, times, window))
+            for times in batch
+        ])
+
+    def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
+        """Simulated continuations of [s, t] from the initial state."""
+        from . import pricing
+
+        if n < 2:
+            raise ValueError("need at least 2 paths")
+        window = float(t - s)
+        lhs = pricing.price_closed_form(self, self.r0, s, T, regime)
+        if window == 0.0:
+            return lhs, lhs, 0.0, 0.0, n, False
+        TimeGrid(regime, window, output_step=window)  # validates the window
+        batch = _batch_jump_times(self.intensity, window, n, seed, STREAM_CONTINUATION)
+        price_by_count: dict[int, float] = {}
+        samples = np.empty(n)
+        for k, times in enumerate(batch):
+            discount = math.exp(-_integral_from_zero(self.r0, self.delta, times, window))
+            if times.size not in price_by_count:
+                # end rate as JumpPath.rate_at(window): every jump lies in [0, window]
+                r_end = float(self.r0 + self.delta * times.size)
+                price_by_count[times.size] = pricing.price_closed_form(
+                    self, r_end, t, T, regime
+                )
+            samples[k] = discount * price_by_count[times.size]
+        rhs = float(samples.mean())
+        se = float(samples.std(ddof=1) / math.sqrt(n))
+        return lhs, rhs, rhs - lhs, se, n, False
+
 
 @dataclass(frozen=True, eq=False)
-class MarkovChain:
-    """Finite-state chain of one-period rates with a row-stochastic matrix."""
+class MarkovChain(_Model):
+    """Finite-state chain of one-period rates with a row-stochastic matrix.
+
+    Its members price through `pricing.chain_log_prices` and take the exact
+    long rate from `longrate.perron_long_rate`, looked up in those modules
+    at call time (they import this one).
+    """
 
     state_rates: np.ndarray
     transition: np.ndarray
     initial_state: int
+
+    regimes = frozenset((Regime.DISCRETE,))
 
     def __post_init__(self) -> None:
         rates = np.asarray(self.state_rates, dtype=float)
@@ -198,48 +363,81 @@ class MarkovChain:
     def n_states(self) -> int:
         return int(self.state_rates.size)
 
+    @property
+    def label(self) -> str:
+        return f"markov_chain({self.n_states} states)"
+
     def discounted_transition(self) -> np.ndarray:
         """Transition matrix with row i scaled by 1 / (1 + R_i)."""
         return self.transition / (1.0 + self.state_rates)[:, None]
 
+    def _index(self, state) -> int:
+        idx = self.initial_state if state is None else int(state)
+        if not 0 <= idx < self.n_states:
+            raise ValueError("chain state out of range")
+        return idx
+
+    def conditioned(self, state=None) -> MarkovChain:
+        return dataclasses.replace(self, initial_state=self._index(state))
+
+    def rate_of(self, state=None) -> float:
+        return float(self.state_rates[self._index(state)])
+
+    def state_at(self, path: LatticePath, u) -> int:
+        if path.states is None:
+            raise ValueError("chain path lacks recorded states")
+        return int(path.states[_as_period(u, path.horizon)])
+
+    def log_price_table(self, states, t, maturities, regime: Regime) -> np.ndarray:
+        """One `chain_log_prices` pass serves every state and maturity."""
+        from . import pricing
+
+        self.require_regime(regime)
+        gaps = _periods(t, maturities)
+        rows = [self._index(state) for state in states]
+        per_gap = pricing.chain_log_prices(self, gaps)
+        return np.column_stack([per_gap[gap][rows] for gap in gaps])
+
+    def _paths(self, grid: TimeGrid, n: int, seed: int, stream: int) -> tuple:
+        states = _batch_chain_states(self, int(grid.horizon), n, seed, stream)
+        return tuple(map(LatticePath, self.state_rates[states], states))
+
+    def _states_at(self, horizon, times, n: int, seed: int) -> np.ndarray:
+        periods = [_as_period(u, int(horizon)) for u in times]
+        states = _batch_chain_states(self, int(horizon), n, seed, STREAM_PATHS)
+        return states[:, periods]
+
+    def _mc_discounts(self, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
+        window = int(grid.horizon)
+        states = _batch_chain_states(self, window, n, seed, STREAM_PRICING)
+        # row-wise products of the growth factors before the window's end,
+        # the arithmetic of bank_account
+        growth = 1.0 + self.state_rates[states[:, :window]]
+        return 1.0 / np.prod(growth, axis=1)
+
+    def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
+        """Exact: the discounted one-step operator carries P(t, T) back to s
+        from every state; the gap is the worst state's."""
+        from . import pricing
+
+        n_st, n_tT = int(t - s), int(T - t)
+        lp = pricing.chain_log_prices(self, [n_st + n_tT, n_tT])
+        lhs_vec = np.exp(lp[n_st + n_tT])
+        v = np.exp(lp[n_tT])
+        discounted = self.discounted_transition()
+        for _ in range(n_st):
+            v = discounted @ v
+        gap = float(np.abs(v - lhs_vec).max())
+        idx = self.initial_state
+        return float(lhs_vec[idx]), float(v[idx]), gap, 0.0, 0, True
+
+    def _spectral(self):
+        from . import longrate
+
+        return longrate.perron_long_rate(self)
+
 
 ModelSpec = Union[ConstantRate, PoissonJump, MarkovChain]
-
-
-def supported_regimes(model: ModelSpec) -> frozenset[Regime]:
-    if isinstance(model, ConstantRate):
-        return frozenset((Regime.DISCRETE, Regime.CONTINUOUS))
-    if isinstance(model, PoissonJump):
-        return frozenset((Regime.CONTINUOUS,))
-    if isinstance(model, MarkovChain):
-        return frozenset((Regime.DISCRETE,))
-    raise TypeError(f"unknown model type: {type(model).__name__}")
-
-
-def require_regime(model: ModelSpec, regime: Regime) -> None:
-    if regime not in supported_regimes(model):
-        raise ValueError(
-            f"{model_label(model)} does not support the {regime.value} regime"
-        )
-    if (
-        regime is Regime.DISCRETE
-        and isinstance(model, ConstantRate)
-        and model.rate <= -1.0
-    ):
-        raise ValueError("discrete constant rate must satisfy 1 + R > 0")
-
-
-def model_label(model: ModelSpec) -> str:
-    if isinstance(model, ConstantRate):
-        return f"constant(rate={model.rate:g})"
-    if isinstance(model, PoissonJump):
-        return (
-            f"poisson_jump(r0={model.r0:g}, delta={model.delta:g}, "
-            f"intensity={model.intensity:g})"
-        )
-    if isinstance(model, MarkovChain):
-        return f"markov_chain({model.n_states} states)"
-    raise TypeError(f"unknown model type: {type(model).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,6 +491,13 @@ class JumpPath:
         level = n_before * (t - s) + float(np.sum(t - inside))
         return self.r0 * (t - s) + self.delta * level
 
+    def bank_account(self, t) -> float:
+        return math.exp(self.integrated(0.0, float(t)))
+
+    def discount(self, s, t) -> float:
+        """B_s / B_t along the path."""
+        return math.exp(-self.integrated(float(s), float(t)))
+
 
 @dataclass(frozen=True, eq=False)
 class LatticePath:
@@ -318,21 +523,39 @@ class LatticePath:
     def horizon(self) -> int:
         return int(self.rates.size - 1)
 
-    def rate_at(self, u) -> float:
-        return float(self.rates[_as_period(u, self.horizon)])
+    def rate_at(self, u):
+        """Rate at a whole time u (scalar or array), like `JumpPath.rate_at`."""
+        k = _as_period(u, self.horizon)
+        return self.rates[k] if np.ndim(k) else float(self.rates[k])
+
+    def bank_account(self, t) -> float:
+        return float(np.prod(1.0 + self.rates[: _as_period(t, self.horizon)]))
+
+    def discount(self, s, t) -> float:
+        """B_s / B_t along the path."""
+        lo, hi = _as_period(s, self.horizon), _as_period(t, self.horizon)
+        return 1.0 / float(np.prod(1.0 + self.rates[lo:hi]))
 
 
 ShortRatePath = Union[JumpPath, LatticePath]
 
 
-def _as_period(u, horizon: int) -> int:
-    k = float(u)
-    if k != int(k):
+def _as_period(u, horizon: int):
+    """Period index of a whole time in [0, horizon], or an index array."""
+    k = np.asarray(u, dtype=float)
+    if np.any(k != np.trunc(k)):
         raise ValueError("discrete times must be integers")
-    k = int(k)
-    if not 0 <= k <= horizon:
+    if np.any(k < 0) or np.any(k > horizon):
         raise ValueError("time outside [0, horizon]")
-    return k
+    return k.astype(int) if k.ndim else int(k)
+
+
+def _periods(t, maturities) -> np.ndarray:
+    """Whole periods from t to each maturity; discrete times are integers."""
+    mats = np.asarray(maturities, dtype=float)
+    if float(t) != int(t) or not np.all(np.isfinite(mats) & (mats == np.trunc(mats))):
+        raise ValueError("discrete times must be integers")
+    return mats.astype(int) - int(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,27 +579,13 @@ def simulate_paths(
     seed: int,
     *,
     stream: int = STREAM_PATHS,
-    threads: int = 1,
 ) -> ScenarioSet:
-    """Simulate n_paths exact paths of the model over the grid's horizon.
-
-    ``threads`` is accepted for compatibility and has no effect.
-    """
+    """Simulate n_paths exact paths of the model over the grid's horizon."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     _check_seed(seed)
-    require_regime(model, grid.regime)
-    horizon = float(grid.horizon)
-    if isinstance(model, PoissonJump):
-        batch = _batch_jump_times(model.intensity, horizon, n_paths, seed, stream)
-        paths = tuple(JumpPath(model.r0, model.delta, t, horizon) for t in batch)
-    elif isinstance(model, MarkovChain):
-        states = _batch_chain_states(model, int(horizon), n_paths, seed, stream)
-        paths = tuple(map(LatticePath, model.state_rates[states], states))
-    elif grid.regime is Regime.CONTINUOUS:
-        paths = (JumpPath(model.rate, 0.0, np.empty(0), horizon),) * n_paths
-    else:
-        paths = (LatticePath(np.full(int(horizon) + 1, model.rate)),) * n_paths
+    model.require_regime(grid.regime)
+    paths = model._paths(grid, n_paths, seed, stream)
     return ScenarioSet(model, grid, paths, int(seed))
 
 
@@ -455,29 +664,6 @@ def _batch_chain_states(
     return states
 
 
-def _batch_states(
-    model: ModelSpec, horizon, times, n: int, seed: int
-) -> np.ndarray | None:
-    """`state_at` of paths 0..n-1 of `simulate_paths` over [0, horizon].
-
-    Row i holds path i's states at the given times; constant models have no
-    state and give None. No path objects are built.
-    """
-    if isinstance(model, ConstantRate):
-        return None
-    if isinstance(model, MarkovChain):
-        periods = [_as_period(u, int(horizon)) for u in times]
-        states = _batch_chain_states(model, int(horizon), n, seed, STREAM_PATHS)
-        return states[:, periods]
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(times > horizon):
-        raise ValueError("time outside [0, horizon]")
-    batch = _batch_jump_times(model.intensity, float(horizon), n, seed, STREAM_PATHS)
-    counts = np.array([jumps.searchsorted(times, side="right") for jumps in batch])
-    # exact float: r0 + delta * (jump count), the arithmetic of JumpPath.rate_at
-    return model.r0 + model.delta * counts
-
-
 def _integral_from_zero(
     r0: float, delta: float, jump_times: np.ndarray, t: float
 ) -> float:
@@ -498,72 +684,10 @@ def bank_account(path: ShortRatePath, t) -> float:
     periods strictly before t, so the value is determined by rates the
     market has already set. Continuous paths use the exact rate integral.
     """
-    if isinstance(path, JumpPath):
-        t = float(t)
-        return math.exp(path.integrated(0.0, t))
-    k = _as_period(t, path.horizon)
-    return float(np.prod(1.0 + path.rates[:k]))
+    return path.bank_account(t)
 
 
 def integrated_rate(path: ShortRatePath, s: float, t: float) -> float:
     if not isinstance(path, JumpPath):
         raise ValueError("integrated_rate applies to continuous-regime paths")
     return path.integrated(float(s), float(t))
-
-
-def conditioned(model: ModelSpec, state) -> ModelSpec:
-    """Copy of the model restarted from the given state.
-
-    All supported models are Markov in their state, so conditioning on the
-    information available at an observation time reduces to restarting the
-    model there. ``state`` is the current rate for jump models and the chain
-    index for chains; constant models ignore it.
-    """
-    if isinstance(model, ConstantRate):
-        return model
-    if isinstance(model, PoissonJump):
-        r_now = model.r0 if state is None else float(state)
-        if r_now < model.r0 - 1e-12:
-            raise ValueError("jump-model rate cannot fall below r0")
-        return dataclasses.replace(model, r0=r_now)
-    if isinstance(model, MarkovChain):
-        idx = model.initial_state if state is None else int(state)
-        return dataclasses.replace(model, initial_state=idx)
-    raise TypeError(f"unknown model type: {type(model).__name__}")
-
-
-def initial_state_of(model: ModelSpec):
-    """State the model starts in, in the encoding used by `conditioned`."""
-    if isinstance(model, ConstantRate):
-        return None
-    if isinstance(model, PoissonJump):
-        return model.r0
-    if isinstance(model, MarkovChain):
-        return model.initial_state
-    raise TypeError(f"unknown model type: {type(model).__name__}")
-
-
-def state_at(model: ModelSpec, path: ShortRatePath, u):
-    """State of the path at time u, in the encoding used by `conditioned`."""
-    if isinstance(model, ConstantRate):
-        return None
-    if isinstance(model, PoissonJump):
-        # exact float: r0 + delta * (jump count), same arithmetic as rate_at
-        return float(path.rate_at(float(u)))
-    if isinstance(model, MarkovChain):
-        if path.states is None:
-            raise ValueError("chain path lacks recorded states")
-        return int(path.states[_as_period(u, path.horizon)])
-    raise TypeError(f"unknown model type: {type(model).__name__}")
-
-
-def current_rate(model: ModelSpec, state) -> float:
-    """Short rate implied by a model state."""
-    if isinstance(model, ConstantRate):
-        return float(model.rate)
-    if isinstance(model, PoissonJump):
-        return float(model.r0 if state is None else state)
-    if isinstance(model, MarkovChain):
-        idx = model.initial_state if state is None else int(state)
-        return float(model.state_rates[idx])
-    raise TypeError(f"unknown model type: {type(model).__name__}")

@@ -17,23 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    ConstantRate,
-    MarkovChain,
-    ModelSpec,
-    PoissonJump,
-    Regime,
-    STREAM_PRICING,
-    TimeGrid,
-    _batch_chain_states,
-    _batch_jump_times,
-    _integral_from_zero,
-    bank_account,
-    conditioned,
-    current_rate,
-    require_regime,
-    simulate_paths,
-)
+from .models import MarkovChain, ModelSpec, Regime, TimeGrid, _periods
 
 __all__ = [
     "McEstimate",
@@ -129,36 +113,16 @@ def log_price_closed_form(
     model: ModelSpec, state, t: float, T: float, regime: Regime
 ) -> float:
     """Exact log P(t, T) from the given model state."""
-    require_regime(model, regime)
+    model.require_regime(regime)
     if T < t:
         raise ValueError("maturity precedes observation time")
-    if isinstance(model, ConstantRate):
-        if regime is Regime.DISCRETE:
-            n = _period_gap(t, T)
-            return -n * math.log1p(model.rate)
-        return -model.rate * (T - t)
-    if isinstance(model, PoissonJump):
-        r_now = current_rate(model, state)
-        lam, delta = model.intensity, model.delta
-        tau = T - t
-        return -r_now * tau - lam * tau - lam * math.expm1(-delta * tau) / delta
-    n = _period_gap(t, T)
-    idx = model.initial_state if state is None else int(state)
-    if not 0 <= idx < model.n_states:
-        raise ValueError("chain state out of range")
-    return float(chain_log_prices(model, [n])[n][idx])
+    return float(model.log_price_table([state], t, [T], regime)[0, 0])
 
 
 def price_closed_form(
     model: ModelSpec, state, t: float, T: float, regime: Regime
 ) -> float:
     return math.exp(log_price_closed_form(model, state, t, T, regime))
-
-
-def _period_gap(t, T) -> int:
-    if float(t) != int(t) or float(T) != int(T):
-        raise ValueError("discrete times must be integers")
-    return int(T) - int(t)
 
 
 def chain_log_prices(model: MarkovChain, horizons) -> dict[int, np.ndarray]:
@@ -197,52 +161,26 @@ def price_mc(
     n: int,
     seed: int,
     regime: Regime,
-    *,
-    threads: int = 1,
 ) -> McEstimate:
     """Monte Carlo price: mean of 1 / bank_account over restarted paths.
 
-    Jump models and chains draw each path from its own keyed stream and
-    discount it directly, without building path objects. ``threads`` is
-    accepted for compatibility and has no effect.
+    Each path is drawn from its own keyed stream and discounted directly,
+    without building path objects.
     """
-    require_regime(model, regime)
+    model.require_regime(regime)
     if T < t:
         raise ValueError("maturity precedes observation time")
     if n < 2:
         raise ValueError("need at least 2 paths for a standard error")
-    window = _period_gap(t, T) if regime is Regime.DISCRETE else float(T - t)
+    window = int(_periods(t, [T])[0]) if regime is Regime.DISCRETE else float(T - t)
     if window == 0:
         return McEstimate(1.0, 0.0, n)
-    restarted = conditioned(model, state)
     grid = TimeGrid(
         regime,
         window,
         output_step=window if regime is Regime.CONTINUOUS else None,
     )
-    if isinstance(restarted, PoissonJump):
-        batch = _batch_jump_times(
-            restarted.intensity, window, n, seed, STREAM_PRICING
-        )
-        r0, delta = restarted.r0, restarted.delta
-        samples = np.array([
-            math.exp(-_integral_from_zero(r0, delta, times, window))
-            for times in batch
-        ])
-    elif isinstance(restarted, MarkovChain):
-        states = _batch_chain_states(restarted, window, n, seed, STREAM_PRICING)
-        # row-wise products of the growth factors before the window's end,
-        # the arithmetic of bank_account
-        growth = 1.0 + restarted.state_rates[states[:, :window]]
-        samples = 1.0 / np.prod(growth, axis=1)
-    else:
-        # constant model: every path is the same flat path
-        path = simulate_paths(restarted, grid, 1, seed).paths[0]
-        if regime is Regime.CONTINUOUS:
-            sample = math.exp(-path.integrated(0.0, window))
-        else:
-            sample = 1.0 / bank_account(path, window)
-        samples = np.full(n, sample)
+    samples = model.conditioned(state)._mc_discounts(grid, n, seed)
     value = float(samples.mean())
     std_error = float(samples.std(ddof=1) / math.sqrt(n))
     return McEstimate(value, std_error, n)
@@ -259,58 +197,21 @@ def build_curves(
     differences in maturity (one-sided at the ends), which needs at least
     two maturities.
     """
-    require_regime(model, regime)
+    model.require_regime(regime)
     mats = np.asarray(maturities, dtype=float)
     if mats.ndim != 1 or mats.size == 0:
         raise ValueError("maturities must be a non-empty vector")
-    if np.any(np.diff(mats) <= 0):
-        raise ValueError("maturities must be strictly increasing")
-    if mats[0] <= t:
-        raise ValueError("maturities must exceed the observation time")
-
+    _check_maturities(t, mats)
     if regime is Regime.DISCRETE:
         if np.any(mats != np.round(mats)):
             raise ValueError("discrete maturities must be integers")
-        ints = mats.astype(int)
-        needed = sorted(set(ints) | {m + 1 for m in ints})
-        lp_map = _log_price_map(model, state, t, needed, regime)
-        lp = np.array([lp_map[m] for m in ints])
-        lp_next = np.array([lp_map[m + 1] for m in ints])
-        forward = np.expm1(lp - lp_next)
-        zero = np.expm1(-lp / (mats - t))
-    else:
-        if mats.size < 2:
-            raise ValueError("continuous curves need at least two maturities")
-        lp = np.array(
-            [log_price_closed_form(model, state, t, T, regime) for T in mats]
-        )
-        forward = _finite_difference_forward(mats, lp)
-        zero = -lp / (mats - t)
-    x = np.exp(lp / mats)
-    disc = DiscountCurve(float(t), state, mats, lp, regime)
-    rates = RateCurve(float(t), state, mats, forward, zero, x, regime)
-    return disc, rates
-
-
-def _log_price_map(
-    model: ModelSpec, state, t, maturities: list[int], regime: Regime
-) -> dict[int, float]:
-    if isinstance(model, MarkovChain):
-        idx = model.initial_state if state is None else int(state)
-        gaps = {m: _period_gap(t, m) for m in maturities}
-        per_state = chain_log_prices(model, gaps.values())
-        return {m: float(per_state[gap][idx]) for m, gap in gaps.items()}
-    return {
-        m: log_price_closed_form(model, state, t, m, regime) for m in maturities
-    }
-
-
-def _finite_difference_forward(mats: np.ndarray, lp: np.ndarray) -> np.ndarray:
-    f = np.empty_like(lp)
-    f[1:-1] = -(lp[2:] - lp[:-2]) / (mats[2:] - mats[:-2])
-    f[0] = -(lp[1] - lp[0]) / (mats[1] - mats[0])
-    f[-1] = -(lp[-1] - lp[-2]) / (mats[-1] - mats[-2])
-    return f
+        both = np.concatenate([mats, mats + 1])
+        lp = model.log_price_table([state], t, both, regime)[0]
+        return _curves(t, state, mats, lp[: mats.size], regime, lp[mats.size :])
+    if mats.size < 2:
+        raise ValueError("continuous curves need at least two maturities")
+    lp = model.log_price_table([state], t, mats, regime)[0]
+    return _curves(t, state, mats, lp, regime)
 
 
 def curves_from_log_prices(
@@ -330,25 +231,38 @@ def curves_from_log_prices(
     lp = np.asarray(log_prices, dtype=float)
     if mats.shape != lp.shape or mats.ndim != 1 or mats.size < 2:
         raise ValueError("need aligned vectors of at least two maturities")
-    if np.any(np.diff(mats) <= 0):
-        raise ValueError("maturities must be strictly increasing")
-    if mats[0] <= t:
-        raise ValueError("maturities must exceed the observation time")
+    _check_maturities(t, mats)
     if regime is Regime.DISCRETE:
         if np.any(mats != np.round(mats)) or np.any(np.diff(mats) != 1):
             raise ValueError(
                 "discrete curves need consecutive integer maturities; the "
                 "forward rate at T uses the price at T + 1"
             )
-        head, head_lp = mats[:-1], lp[:-1]
-        forward = np.expm1(lp[:-1] - lp[1:])
-        zero = np.expm1(-head_lp / (head - t))
-        x = np.exp(head_lp / head)
-        disc = DiscountCurve(float(t), state, head, head_lp, regime)
-        rates = RateCurve(float(t), state, head, forward, zero, x, regime)
-        return disc, rates
-    forward = _finite_difference_forward(mats, lp)
-    zero = -lp / (mats - t)
+        return _curves(t, state, mats[:-1], lp[:-1], regime, lp[1:])
+    return _curves(t, state, mats, lp, regime)
+
+
+def _check_maturities(t, mats: np.ndarray) -> None:
+    if np.any(np.diff(mats) <= 0):
+        raise ValueError("maturities must be strictly increasing")
+    if mats[0] <= t:
+        raise ValueError("maturities must exceed the observation time")
+
+
+def _curves(
+    t, state, mats: np.ndarray, lp: np.ndarray, regime: Regime, lp_next=None
+) -> tuple[DiscountCurve, RateCurve]:
+    """Curves from log prices on the maturity grid; a discrete forward rate
+    at T takes the log price at T + 1 from lp_next."""
+    if regime is Regime.DISCRETE:
+        forward = np.expm1(lp - lp_next)
+        zero = np.expm1(-lp / (mats - t))
+    else:
+        forward = np.empty_like(lp)
+        forward[1:-1] = -(lp[2:] - lp[:-2]) / (mats[2:] - mats[:-2])
+        forward[0] = -(lp[1] - lp[0]) / (mats[1] - mats[0])
+        forward[-1] = -(lp[-1] - lp[-2]) / (mats[-1] - mats[-2])
+        zero = -lp / (mats - t)
     x = np.exp(lp / mats)
     disc = DiscountCurve(float(t), state, mats, lp, regime)
     rates = RateCurve(float(t), state, mats, forward, zero, x, regime)
@@ -370,4 +284,4 @@ def short_rate_consistency(
             raise ValueError("step must be positive")
         lp = log_price_closed_form(model, state, t, t + step, regime)
         f_tt = -lp / step
-    return abs(f_tt - current_rate(model, state))
+    return abs(f_tt - model.rate_of(state))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .longrate import ExtractionMethod, extract_long_rate, perron_long_rate
+from .longrate import ExtractionMethod, extract_long_rate
 from .models import (
     ConstantRate,
     MarkovChain,
@@ -23,12 +23,9 @@ from .models import (
     PoissonJump,
     Regime,
     STREAM_CONTINUATION,
-    _batch_states,
-    model_label,
     path_rng,
-    require_regime,
 )
-from .pricing import build_curves, chain_log_prices, price_closed_form, price_mc
+from .pricing import build_curves, price_closed_form, price_mc
 
 __all__ = [
     "NonConvergenceError",
@@ -119,18 +116,19 @@ def verify_dir(
     epsilon_multiplier: float = 3.0,
     tol: float = 1e-4,
     model_id: str | None = None,
-    threads: int = 1,
 ) -> MonotonicityReport:
     """Simulate to t and certify x(s) >= x(t) - epsilon path by path.
 
     The maturity schedule lists times to maturity appended to each
     observation time. Conditioning on the information at s and t uses the
-    Markov state there, read off the batch sampler without building paths,
-    so each distinct state is priced and extracted once and shared by all
-    paths that visit it. Extractions that fail to stabilize on more than 1%
-    of paths abort with NonConvergenceError. ``threads`` has no effect.
+    Markov state there, read off the batch sampler without building paths.
+    Every model is time-homogeneous, so one table of log prices over the
+    schedule, one row per distinct state at either time, serves both
+    observation times; each distinct state is extracted once per time and
+    shared by all paths in it. Extractions that fail to stabilize on more
+    than 1% of paths abort with NonConvergenceError.
     """
-    require_regime(model, regime)
+    model.require_regime(regime)
     if not 0 <= s < t < math.inf:
         raise ValueError("need 0 <= s < t < inf")
     taus = np.asarray(maturity_schedule, dtype=float)
@@ -144,32 +142,21 @@ def verify_dir(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
 
-    states = _batch_states(model, t, (s, t), n_paths, seed)
-    if isinstance(model, MarkovChain):
-        # time-homogeneous: log P(obs, obs + tau) from state i depends on tau
-        # only, so one pricing pass serves both observation times
-        log_prices = chain_log_prices(model, taus)
-        table = np.column_stack([log_prices[int(tau)] for tau in taus])
+    states = model._states_at(t, (s, t), n_paths, seed)
+    distinct, inverse = np.unique(states, return_inverse=True)
+    inverse = inverse.reshape(states.shape)
+    # log P(obs, obs + tau) from a state depends on tau only
+    table = model.log_price_table(distinct, 0, taus, regime)
 
     def estimate(column: int, obs: float) -> tuple[np.ndarray, ...]:
-        """Value, residual and convergence per path at obs, with one
-        extraction per distinct state."""
-        if states is None:
-            distinct, inverse = [None], np.zeros(n_paths, dtype=np.intp)
-        else:
-            distinct, inverse = np.unique(states[:, column], return_inverse=True)
-        if isinstance(model, MarkovChain):
-            curves = np.exp(table[distinct] / (obs + taus))
-        else:
-            curves = [
-                build_curves(model, state, obs, obs + taus, regime)[1].x
-                for state in distinct
-            ]
+        """Value, residual and convergence per path at obs."""
+        rows, per_path = np.unique(inverse[:, column], return_inverse=True)
+        curves = np.exp(table[rows] / (obs + taus))
         ests = [
             extract_long_rate(np.column_stack([taus, x]), method, tol) for x in curves
         ]
         return tuple(
-            np.array([getattr(e, name) for e in ests])[inverse]
+            np.array([getattr(e, name) for e in ests])[per_path]
             for name in ("value", "residual", "converged")
         )
 
@@ -198,15 +185,15 @@ def verify_dir(
 
     spectral_value = None
     spectral_gap = None
-    if isinstance(model, MarkovChain):
-        spectral = perron_long_rate(model)
+    spectral = model._spectral()
+    if spectral is not None:
         spectral_value = spectral.value
         spectral_gap = float(
             max(np.abs(x_s - spectral.value).max(), np.abs(x_t - spectral.value).max())
         )
 
     return MonotonicityReport(
-        model_id=model_id if model_id is not None else model_label(model),
+        model_id=model_id if model_id is not None else model.label,
         method=method,
         s=float(s),
         t=float(t),
@@ -284,7 +271,6 @@ def run_poisson_example(
     n_continuations: int = 100_000,
     epsilon_multiplier: float = 3.0,
     tol: float = 1e-4,
-    threads: int = 1,
 ) -> PoissonExampleReport:
     """Exercise the jump model end to end.
 
@@ -323,19 +309,18 @@ def run_poisson_example(
     )
 
     # long-zero identity at t, one extraction per distinct state
-    states = _batch_states(model, float(t), (t,), n_paths, seed)
-    distinct = [None] if states is None else np.unique(states[:, 0]).tolist()
+    states = model._states_at(float(t), (t,), n_paths, seed)
     gap_max = 0.0
     bound_max = 0.0
     identity_ok = True
-    for state in distinct:
+    for state in np.unique(states).tolist():
         _, rates = build_curves(model, state, float(t), float(t) + taus, regime)
         est = extract_long_rate(
             np.column_stack([taus, rates.zero]),
             ExtractionMethod.RECIPROCAL_EXTRAPOLATION,
             tol,
         )
-        rate_now = float(r0 if state is None else state)
+        rate_now = model.rate_of(state)
         target = rate_now + intensity if delta > 0 else rate_now
         gap = abs(est.value - target)
         bound = epsilon_multiplier * est.residual + _EPS_FLOOR * max(1.0, abs(est.value))

@@ -128,6 +128,47 @@ class TestPerron:
         with pytest.raises(ValueError, match="periodic"):
             perron_long_rate(chain)
 
+    def test_random_patterns_match_brute_force_powers(self):
+        # reference from the definitions, one matrix power at a time: every
+        # state reaches every other within n - 1 steps, and some power
+        # A^k with k <= (n - 1)^2 + 1 (Wielandt's bound) is all positive
+        def expected_refusal(pattern):
+            n = len(pattern)
+            step = np.eye(n, dtype=int)
+            powers = []
+            for _ in range((n - 1) ** 2 + 1):
+                step = np.minimum(step @ pattern, 1)
+                powers.append(step)
+            if not (np.eye(n, dtype=int) + sum(powers[: n - 1])).all():
+                return "reducible"
+            return None if any(p.all() for p in powers) else "periodic"
+
+        rng = np.random.default_rng(2024)
+        seen = {"reducible": 0, "periodic": 0, None: 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            pattern = (rng.random((n, n)) < rng.uniform(0.1, 0.6)).astype(int)
+            if rng.random() < 0.5:
+                # edges only from one class of a cycle to the next: periodic
+                # wherever irreducible
+                d = int(rng.integers(2, 4))
+                cls = rng.integers(0, d, n)
+                pattern *= cls[None, :] == (cls[:, None] + 1) % d
+            empty = pattern.sum(axis=1) == 0
+            pattern[empty, rng.integers(0, n, empty.sum())] = 1
+            weights = pattern * rng.uniform(0.5, 1.5, (n, n))
+            chain = MarkovChain(
+                rng.uniform(0.0, 0.1, n), weights / weights.sum(axis=1)[:, None], 0
+            )
+            want = expected_refusal(pattern)
+            seen[want] += 1
+            if want is None:
+                assert perron_long_rate(chain).converged
+            else:
+                with pytest.raises(ValueError, match=want):
+                    perron_long_rate(chain)
+        assert min(seen.values()) >= 20, seen
+
     def test_extraction_agrees_with_spectral_oracle(self):
         taus = np.array([62, 125, 250, 500])
         for chain in (SYM2, CHAIN3, CHAIN4):

@@ -17,9 +17,7 @@ from longrates.models import (
     Regime,
     STREAM_CONTINUATION,
     TimeGrid,
-    conditioned,
     simulate_paths,
-    state_at,
 )
 from longrates.pricing import chain_log_prices, price_closed_form
 
@@ -134,12 +132,12 @@ class TestTowerIdentity:
         reg = Regime.CONTINUOUS
         grid = TimeGrid(reg, t - s, output_step=t - s)
         scen = simulate_paths(
-            conditioned(POISSON, POISSON.r0), grid, n, seed,
+            POISSON.conditioned(POISSON.r0), grid, n, seed,
             stream=STREAM_CONTINUATION,
         )
         samples = np.array([
             math.exp(-path.integrated(0.0, t - s))
-            * price_closed_form(POISSON, state_at(POISSON, path, t - s), t, T, reg)
+            * price_closed_form(POISSON, POISSON.state_at(path, t - s), t, T, reg)
             for path in scen.paths
         ])
         lhs = price_closed_form(POISSON, POISSON.r0, s, T, reg)
@@ -170,7 +168,7 @@ class TestFullPipeline:
         p_sT = float(np.exp(lp[T - s][SYM2.initial_state]))
         fw = rn_weights(scen, s, t, p_st)
         payoff = np.array(
-            [np.exp(lp[T - t][state_at(SYM2, path, t)]) for path in scen.paths]
+            [np.exp(lp[T - t][SYM2.state_at(path, t)]) for path in scen.paths]
         )
         est = forward_expectation(fw, payoff)
         assert abs(est.value - p_sT / p_st) <= 3.5 * est.std_error
@@ -184,7 +182,7 @@ class TestFullPipeline:
         fw = rn_weights(scen, s, t, p_st)
         payoff = np.array([
             price_closed_form(
-                POISSON, state_at(POISSON, path, t), t, T, Regime.CONTINUOUS
+                POISSON, POISSON.state_at(path, t), t, T, Regime.CONTINUOUS
             )
             for path in scen.paths
         ])

@@ -17,21 +17,14 @@ from longrates.models import (
     TimeGrid,
     _batch_chain_states,
     _batch_jump_times,
-    _batch_states,
     _integral_from_zero,
     _sample_jump_times,
     bank_account,
-    conditioned,
-    current_rate,
-    initial_state_of,
     integrated_rate,
-    model_label,
     path_rng,
-    require_regime,
     simulate_paths,
-    state_at,
-    supported_regimes,
 )
+from longrates.verify import standard_fleet, verify_dir
 
 SYM2 = MarkovChain([0.0, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
 
@@ -95,19 +88,19 @@ class TestModelValidation:
             MarkovChain([0.0, 0.1], [[0.5, 0.5], [0.5, 0.5]], 2)
 
     def test_regime_support(self):
-        assert supported_regimes(ConstantRate(0.02)) == {
+        assert ConstantRate(0.02).regimes == {
             Regime.DISCRETE, Regime.CONTINUOUS,
         }
-        assert supported_regimes(PoissonJump(0.05, 0.1, 0.5)) == {Regime.CONTINUOUS}
-        assert supported_regimes(SYM2) == {Regime.DISCRETE}
+        assert PoissonJump(0.05, 0.1, 0.5).regimes == {Regime.CONTINUOUS}
+        assert SYM2.regimes == {Regime.DISCRETE}
         with pytest.raises(ValueError, match="regime"):
-            require_regime(SYM2, Regime.CONTINUOUS)
+            SYM2.require_regime(Regime.CONTINUOUS)
         with pytest.raises(ValueError, match="1 \\+ R > 0"):
-            require_regime(ConstantRate(-1.5), Regime.DISCRETE)
+            ConstantRate(-1.5).require_regime(Regime.DISCRETE)
 
     def test_labels(self):
-        assert model_label(SYM2) == "markov_chain(2 states)"
-        assert "poisson_jump" in model_label(PoissonJump(0.05, 0.1, 0.5))
+        assert SYM2.label == "markov_chain(2 states)"
+        assert "poisson_jump" in PoissonJump(0.05, 0.1, 0.5).label
 
 
 class TestRng:
@@ -183,12 +176,14 @@ class TestRng:
         model = PoissonJump(0.05, 0.1, 0.5)
         times = (0.0, 2.5, 6.0)
         scen = simulate_paths(model, grid, 50, 4)
-        got = _batch_states(model, 6.0, times, 50, 4)
-        want = [[state_at(model, p, u) for u in times] for p in scen.paths]
+        got = model._states_at(6.0, times, 50, 4)
+        want = [[model.state_at(p, u) for u in times] for p in scen.paths]
         assert got.tolist() == want
-        assert _batch_states(ConstantRate(0.03), 6.0, times, 50, 4) is None
+        # the constant model's one state is written 0 in batch arrays
+        flat = ConstantRate(0.03)._states_at(6.0, times, 50, 4)
+        assert np.array_equal(flat, np.zeros((50, 3)))
         with pytest.raises(ValueError, match="horizon"):
-            _batch_states(model, 6.0, (7.0,), 5, 4)
+            model._states_at(6.0, (7.0,), 5, 4)
 
 
 class TestJumpPath:
@@ -290,15 +285,6 @@ class TestSimulation:
         for pa, pb in zip(a.paths, b.paths):
             assert np.array_equal(pa.jump_times, pb.jump_times)
 
-    def test_thread_count_does_not_change_results(self):
-        model = SYM2
-        grid = TimeGrid(Regime.DISCRETE, 6)
-        serial = simulate_paths(model, grid, 64, 3, threads=1)
-        pooled = simulate_paths(model, grid, 64, 3, threads=4)
-        for pa, pb in zip(serial.paths, pooled.paths):
-            assert np.array_equal(pa.rates, pb.rates)
-            assert np.array_equal(pa.states, pb.states)
-
     def test_different_seeds_differ(self):
         grid = TimeGrid(Regime.CONTINUOUS, 10.0, 1.0)
         model = PoissonJump(0.05, 0.1, 0.5)
@@ -352,25 +338,82 @@ class TestSimulation:
 class TestConditioning:
     def test_poisson_restart_shifts_r0(self):
         model = PoissonJump(0.05, 0.1, 0.5)
-        restarted = conditioned(model, 0.25)
+        restarted = model.conditioned(0.25)
         assert restarted.r0 == 0.25
         assert restarted.delta == model.delta
         with pytest.raises(ValueError, match="below r0"):
-            conditioned(model, 0.04)
+            model.conditioned(0.04)
 
     def test_chain_restart_moves_initial_state(self):
-        assert conditioned(SYM2, 1).initial_state == 1
-        assert conditioned(SYM2, None).initial_state == 0
+        assert SYM2.conditioned(1).initial_state == 1
+        assert SYM2.conditioned(None).initial_state == 0
 
     def test_state_encodings_round_trip(self):
         model = PoissonJump(0.05, 0.1, 0.5)
         path = JumpPath(0.05, 0.1, np.array([1.0, 2.0]), 5.0)
-        assert state_at(model, path, 3.0) == pytest.approx(0.25)
-        assert current_rate(model, state_at(model, path, 3.0)) == pytest.approx(0.25)
-        assert initial_state_of(model) == 0.05
-        assert initial_state_of(SYM2) == 0
-        assert state_at(ConstantRate(0.03), path, 1.0) is None
+        assert model.state_at(path, 3.0) == pytest.approx(0.25)
+        assert model.rate_of(model.state_at(path, 3.0)) == pytest.approx(0.25)
+        assert model.initial_state == 0.05
+        assert SYM2.initial_state == 0
+        assert ConstantRate(0.03).state_at(path, 1.0) is None
 
     def test_chain_state_needs_recorded_states(self):
         with pytest.raises(ValueError, match="states"):
-            state_at(SYM2, LatticePath(np.array([0.0, 0.1])), 1)
+            SYM2.state_at(LatticePath(np.array([0.0, 0.1])), 1)
+
+
+PROTOCOL_CASES = [
+    pytest.param(m.model, m.regime, id=m.name) for m in standard_fleet()
+] + [pytest.param(ConstantRate(0.03), Regime.CONTINUOUS, id="constant-continuous")]
+
+
+def four_period_grid(regime):
+    if regime is Regime.DISCRETE:
+        return TimeGrid(regime, 4)
+    return TimeGrid(regime, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("model,regime", PROTOCOL_CASES)
+class TestProtocol:
+    MATURITIES = (3, 4, 8, 25)
+
+    def test_conditioned_on_the_initial_state_prices_like_the_model(
+        self, model, regime
+    ):
+        restarted = model.conditioned(model.initial_state)
+        want = model.log_price_table([None], 3, self.MATURITIES, regime)
+        got = restarted.log_price_table([None], 3, self.MATURITIES, regime)
+        assert np.array_equal(got, want)
+        both = model.log_price_table(
+            [model.initial_state, None], 3, self.MATURITIES, regime
+        )
+        assert np.array_equal(both, np.vstack([want, want]))
+
+    def test_rate_of_the_initial_state_is_the_short_rate(self, model, regime):
+        path = simulate_paths(model, four_period_grid(regime), 1, 0).paths[0]
+        assert model.rate_of(model.initial_state) == path.rate_at(0)
+        assert model.rate_of(None) == path.rate_at(0)
+        assert model.rate_of(model.state_at(path, 2)) == path.rate_at(2)
+
+    def test_zero_time_to_maturity_has_log_price_zero(self, model, regime):
+        table = model.log_price_table([None, model.initial_state], 3, (3, 5), regime)
+        assert table.shape == (2, 2)
+        assert np.all(table[:, 0] == 0.0)
+        assert np.all(table[:, 1] < 0.0)
+
+    def test_default_model_id_is_the_label(self, model, regime):
+        report = verify_dir(model, 0, 1, (125, 250, 500, 1000), 20, 1, regime)
+        assert report.model_id == model.label
+
+    def test_unsupported_regimes_raise(self, model, regime):
+        assert regime in model.regimes
+        for other in Regime:
+            if other in model.regimes:
+                model.require_regime(other)
+                continue
+            with pytest.raises(ValueError, match="regime"):
+                model.require_regime(other)
+            with pytest.raises(ValueError, match="regime"):
+                model.log_price_table([None], 0, self.MATURITIES, other)
+            with pytest.raises(ValueError, match="regime"):
+                simulate_paths(model, four_period_grid(other), 1, 0)

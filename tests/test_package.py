@@ -1,0 +1,66 @@
+"""Guards on the package as a whole: what importing it loads, and that
+model and path types are told apart by the model protocol, not by
+isinstance checks."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODEL_AND_PATH_CLASSES = {
+    "ConstantRate", "PoissonJump", "MarkovChain", "JumpPath", "LatticePath",
+}
+# the two guards that reject a wrong-typed public argument
+ALLOWED_GUARDS = {
+    ("models.py", "integrated_rate"),
+    ("longrate.py", "perron_long_rate"),
+}
+
+
+def test_import_does_not_load_networkx():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, longrates; print(longrates.__file__, 'networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    where, loaded = proc.stdout.split()
+    assert Path(where).is_relative_to(SRC)
+    assert loaded == "False"
+
+
+class _IsinstanceSites(ast.NodeVisitor):
+    """(file, enclosing function) of each isinstance naming a model or path class."""
+
+    def __init__(self, filename: str) -> None:
+        self.filename = filename
+        self.scope = ["<module>"]
+        self.sites: list[tuple[str, str]] = []
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node) -> None:
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            named = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node.args[1])
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if named & MODEL_AND_PATH_CLASSES:
+                self.sites.append((self.filename, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def test_no_isinstance_dispatch_on_models_or_paths():
+    sites = []
+    for path in sorted((SRC / "longrates").glob("*.py")):
+        visitor = _IsinstanceSites(path.name)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert set(sites) <= ALLOWED_GUARDS, sites
+    assert len(sites) == len(set(sites))

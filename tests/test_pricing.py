@@ -14,7 +14,6 @@ from longrates.models import (
     STREAM_PRICING,
     TimeGrid,
     bank_account,
-    conditioned,
     simulate_paths,
 )
 from longrates.pricing import (
@@ -127,6 +126,18 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="regime"):
             price_closed_form(SYM2, None, 0, 4, Regime.CONTINUOUS)
 
+    def test_chain_state_out_of_range_raises_on_every_route(self):
+        # a negative index must not wrap around to the last state
+        for state in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                build_curves(SYM2, state, 0, [1, 2, 3], Regime.DISCRETE)
+            with pytest.raises(ValueError, match="out of range"):
+                SYM2.rate_of(state)
+            with pytest.raises(ValueError, match="out of range"):
+                SYM2.conditioned(state)
+            with pytest.raises(ValueError, match="out of range"):
+                price_mc(SYM2, state, 0, 3, 10, 0, Regime.DISCRETE)
+
     @given(st.floats(-0.4, 0.4), st.integers(1, 30))
     def test_discrete_constant_prices_decrease_in_maturity(self, rate, n):
         model = ConstantRate(rate)
@@ -161,7 +172,7 @@ class TestPriceMc:
         state, t, T, n, seed = 0.25, 3.0, 8.0, 3000, 23
         grid = TimeGrid(Regime.CONTINUOUS, T - t, output_step=T - t)
         scen = simulate_paths(
-            conditioned(POISSON, state), grid, n, seed, stream=STREAM_PRICING
+            POISSON.conditioned(state), grid, n, seed, stream=STREAM_PRICING
         )
         samples = np.array([math.exp(-p.integrated(0.0, T - t)) for p in scen.paths])
         want = McEstimate(
@@ -178,7 +189,7 @@ class TestPriceMc:
         n, seed = 500, 13
         grid = TimeGrid(Regime.DISCRETE, T - t)
         scen = simulate_paths(
-            conditioned(CHAIN3, state), grid, n, seed, stream=STREAM_PRICING
+            CHAIN3.conditioned(state), grid, n, seed, stream=STREAM_PRICING
         )
         samples = np.array([1.0 / bank_account(p, T - t) for p in scen.paths])
         want = McEstimate(
@@ -202,11 +213,6 @@ class TestPriceMc:
     def test_needs_two_paths(self):
         with pytest.raises(ValueError, match="at least 2"):
             price_mc(SYM2, None, 0, 3, 1, 0, Regime.DISCRETE)
-
-    def test_thread_invariance(self):
-        a = price_mc(POISSON, None, 0.0, 5.0, 2000, 5, Regime.CONTINUOUS, threads=1)
-        b = price_mc(POISSON, None, 0.0, 5.0, 2000, 5, Regime.CONTINUOUS, threads=4)
-        assert a == b
 
 
 class TestCurves:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from longrates import pricing, verify
+from longrates import pricing
 from longrates.longrate import ExtractionMethod, extract_long_rate, perron_long_rate
 from longrates.models import (
-    MarkovChain, PoissonJump, Regime, TimeGrid, simulate_paths, state_at,
+    MarkovChain, PoissonJump, Regime, TimeGrid, simulate_paths,
 )
 from longrates.pricing import build_curves
 from longrates.verify import (
@@ -26,7 +26,7 @@ CHAIN16 = MarkovChain(
 
 def per_path_reference(model, s, t, n_paths, seed, regime):
     """x and residuals at s and t, path object by path object:
-    simulate_paths -> state_at -> build_curves -> extract_long_rate, with
+    simulate_paths -> model.state_at -> build_curves -> extract_long_rate, with
     each (time, state) curve built once."""
     taus = np.asarray(SCHEDULE, dtype=float)
     continuous = regime is Regime.CONTINUOUS
@@ -43,7 +43,7 @@ def per_path_reference(model, s, t, n_paths, seed, regime):
 
     out = []
     for obs in (float(s), float(t)):
-        ests = [estimate(obs, state_at(model, path, obs)) for path in scen.paths]
+        ests = [estimate(obs, model.state_at(path, obs)) for path in scen.paths]
         out.append(np.array([e.value for e in ests]))
         out.append(np.array([e.residual for e in ests]))
     return out
@@ -112,14 +112,6 @@ class TestVerifyDir:
         assert report.change_quantiles["min"] <= -0.01
         assert report.change_quantiles["max"] <= report.epsilon_max
 
-    def test_thread_count_does_not_change_the_report(self):
-        a = verify_dir(POISSON, 0.0, 3.0, SCHEDULE, 64, 5, Regime.CONTINUOUS)
-        b = verify_dir(
-            POISSON, 0.0, 3.0, SCHEDULE, 64, 5, Regime.CONTINUOUS, threads=4
-        )
-        assert np.array_equal(a.x_s, b.x_s)
-        assert np.array_equal(a.x_t, b.x_t)
-
     @pytest.mark.parametrize("model,s,t,regime", [
         (CHAIN16, 2, 7, Regime.DISCRETE),
         (POISSON, 0.5, 4.0, Regime.CONTINUOUS),
@@ -144,9 +136,7 @@ class TestVerifyDir:
             calls.append(args)
             return real(*args)
 
-        # the certificate may price through either module's name
         monkeypatch.setattr(pricing, "chain_log_prices", counted)
-        monkeypatch.setattr(verify, "chain_log_prices", counted)
         verify_dir(CHAIN16, 2, 7, SCHEDULE, 400, 3, Regime.DISCRETE)
         assert len(calls) == 1
 
