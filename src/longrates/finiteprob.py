@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "FiniteProbSpace",
@@ -124,6 +123,16 @@ class Partition:
         """Atom -> cell id lookup."""
         return self._cell_index
 
+    def cell_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell sums of one value per atom, added in atom order."""
+        return np.bincount(self._cell_index, weights=values, minlength=self.n_cells)
+
+    def cell_maxima(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell maxima of one value per atom."""
+        out = np.full(self.n_cells, -np.inf)
+        np.maximum.at(out, self._cell_index, values)
+        return out
+
 
 def _check_same_space(x: Rv, partition: Partition) -> None:
     if x.space is not partition.space and not np.array_equal(
@@ -132,21 +141,31 @@ def _check_same_space(x: Rv, partition: Partition) -> None:
         raise ValueError("random variable and partition live on different spaces")
 
 
+def _check_schedule(name: str, values, cast, least, min_len: int = 1) -> tuple:
+    """Cast each entry; check the length, the lower bound and strict increase."""
+    schedule = tuple(cast(v) for v in values)
+    if len(schedule) < min_len or any(v < least for v in schedule):
+        count = "two entries" if min_len == 2 else "one entry"
+        raise ValueError(f"{name} needs at least {count}, each >= {least}")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    return schedule
+
+
 def cond_expectation(x: Rv, partition: Partition) -> Rv:
     """E[X | partition]: per-cell probability-weighted mean, constant on cells."""
     _check_same_space(x, partition)
     p = x.space.atom_probs
-    out = np.empty(x.space.n_atoms)
-    for cell in partition.cells:
-        out[cell] = np.dot(p[cell], x.values[cell]) / p[cell].sum()
-    return Rv(x.space, out)
+    means = partition.cell_sums(p * x.values) / partition.cell_sums(p)
+    return Rv(x.space, means[partition.cell_index()])
 
 
 def cond_p_norm(x: Rv, p: float, partition: Partition) -> Rv:
     """Conditional p-norm E[X^p | partition]^(1/p) for non-negative X.
 
-    Computed per cell as exp((logsumexp(log w + p log x) - log mass) / p),
-    so it stays finite for p in the thousands.
+    Computed in the log domain: the terms log w + p log x are shifted by their
+    cell's maximum (by 0 in a cell of zeros), exponentiated, summed per cell and
+    logged, so the norm stays finite for p in the thousands.
     """
     _check_same_space(x, partition)
     if not (math.isfinite(p) and p >= 1):
@@ -154,24 +173,21 @@ def cond_p_norm(x: Rv, p: float, partition: Partition) -> Rv:
     if np.any(x.values < 0):
         raise ValueError("conditional p-norms are defined for non-negative values")
     probs = x.space.atom_probs
+    cells = partition.cell_index()
     with np.errstate(divide="ignore"):
         log_x = np.where(x.values > 0, np.log(np.maximum(x.values, 1e-300)), -np.inf)
-        log_w = np.log(probs)
-    out = np.empty(x.space.n_atoms)
-    for cell in partition.cells:
-        log_mass = math.log(probs[cell].sum())
-        lse = float(logsumexp(log_w[cell] + p * log_x[cell]))
-        out[cell] = math.exp((lse - log_mass) / p) if np.isfinite(lse) else 0.0
-    return Rv(x.space, out)
+        terms = np.log(probs) + p * log_x
+        shift = partition.cell_maxima(terms)
+        shift[np.isneginf(shift)] = 0.0
+        lse = np.log(partition.cell_sums(np.exp(terms - shift[cells]))) + shift
+    norms = np.exp((lse - np.log(partition.cell_sums(probs))) / p)
+    return Rv(x.space, norms[cells])
 
 
 def cond_ess_sup(x: Rv, partition: Partition) -> Rv:
     """Conditional essential supremum: per-cell maximum (all atoms have mass)."""
     _check_same_space(x, partition)
-    out = np.empty(x.space.n_atoms)
-    for cell in partition.cells:
-        out[cell] = x.values[cell].max()
-    return Rv(x.space, out)
+    return Rv(x.space, partition.cell_maxima(x.values)[partition.cell_index()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,26 +213,19 @@ class PNormLimitReport:
 
 def pnorm_limit_check(x: Rv, partition: Partition, p_schedule) -> PNormLimitReport:
     """Evaluate conditional p-norms along a p schedule against the ess sup."""
-    schedule = tuple(float(p) for p in p_schedule)
-    if len(schedule) < 1 or any(p < 1 for p in schedule):
-        raise ValueError("p_schedule must contain values >= 1")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("p_schedule must be strictly increasing")
+    schedule = _check_schedule("p_schedule", p_schedule, float, least=1)
     norms = np.vstack([cond_p_norm(x, p, partition).values for p in schedule])
     sup = cond_ess_sup(x, partition).values
     p_max = schedule[-1]
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(sup > 0, (sup - norms[-1]) / np.where(sup > 0, sup, 1.0), 0.0)
     probs = x.space.atom_probs
-    bound = np.empty(x.space.n_atoms)
-    for cell in partition.cells:
-        top = x.values[cell].max()
-        if top <= 0:
-            bound[cell] = 0.0
-            continue
-        mass_top = probs[cell][x.values[cell] == top].sum()
-        bound[cell] = -math.log(mass_top / probs[cell].sum()) / p_max
-    return PNormLimitReport(schedule, norms, sup, rel, bound)
+    cells = partition.cell_index()
+    top = partition.cell_maxima(x.values)
+    mass_top = partition.cell_sums(np.where(x.values == top[cells], probs, 0.0))
+    share_top = mass_top / partition.cell_sums(probs)
+    bound = np.where(top > 0, -np.log(share_top) / p_max, 0.0)
+    return PNormLimitReport(schedule, norms, sup, rel, bound[cells])
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +267,7 @@ def pnorm_liminf_bound(
     runs the schedule, takes the tail-half running minimum of the norms as
     the liminf stand-in, and compares.
     """
-    schedule = tuple(int(n) for n in n_schedule)
-    if len(schedule) < 2 or any(n < 1 for n in schedule):
-        raise ValueError("n_schedule needs at least two entries >= 1")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("n_schedule must be strictly increasing")
+    schedule = _check_schedule("n_schedule", n_schedule, int, least=1, min_len=2)
     if tol < 0:
         raise ValueError("tol must be non-negative")
     _check_same_space(limit_rv, partition)
@@ -322,11 +327,7 @@ def dominated_convergence_trace(
     On a finite space the dominating bound is automatic (the max), so the
     norms must converge to the conditional mean; the trace exhibits it.
     """
-    schedule = tuple(int(n) for n in n_schedule)
-    if len(schedule) < 1 or any(n < 2 for n in schedule):
-        raise ValueError("n_schedule must contain integers >= 2")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("n_schedule must be strictly increasing")
+    schedule = _check_schedule("n_schedule", n_schedule, int, least=2)
     _check_same_space(x, partition)
     if np.any(x.values < 0):
         raise ValueError("trace uses non-negative variables")

@@ -200,6 +200,7 @@ class ConstantRate(_Model):
         return (LatticePath(np.full(int(grid.horizon) + 1, self.rate)),) * n
 
     def _states_at(self, horizon, times, n: int, seed: int) -> np.ndarray:
+        _check_seed(seed)
         return np.zeros((n, len(times)))
 
     def _mc_discounts(self, grid: TimeGrid, n: int, seed: int) -> np.ndarray:

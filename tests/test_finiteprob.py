@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -302,3 +304,82 @@ class TestDominatedConvergence:
             dominated_convergence_trace(x, part, [1, 2])
         with pytest.raises(ValueError, match="increasing"):
             dominated_convergence_trace(x, part, [4, 2])
+
+
+def scale_space():
+    """2,400 atoms in 300 cells: 20 singletons, one all-zero cell, some zero
+    atoms elsewhere, and values rounded to 0.1 so cell maxima tie."""
+    rng = np.random.default_rng(20011223)
+    weights = rng.uniform(0.05, 1.0, 2400)
+    space = FiniteProbSpace(weights / weights.sum())
+    atoms = rng.permutation(2400)
+    labels = np.concatenate([np.arange(300), rng.integers(20, 300, 2100)])
+    cells = [atoms[labels == k].tolist() for k in range(300)]
+    values = np.round(rng.exponential(2.0, 2400), 1)
+    values[cells[20]] = 0.0
+    return space, cells, values
+
+
+def ref_cell_norm(probs, values, p):
+    """Per-cell log-domain power mean, summed with math.fsum."""
+    terms = [
+        math.log(w) + p * math.log(v) if v > 0 else -math.inf
+        for w, v in zip(probs, values)
+    ]
+    top = max(terms)
+    if top == -math.inf:
+        return 0.0
+    lse = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    return math.exp((lse - math.log(math.fsum(probs))) / p)
+
+
+class TestGroupedOperatorsAtScale:
+    SPACE, CELLS, VALUES = scale_space()
+    X, PART = SPACE.rv(VALUES), SPACE.partition(CELLS)
+
+    def per_cell(self, fn):
+        """One reference value per atom: fn(cell probs, cell values) on its cell."""
+        out = np.empty(self.SPACE.n_atoms)
+        for cell in self.CELLS:
+            probs, values = self.SPACE.atom_probs[cell], self.VALUES[cell]
+            out[cell] = fn(probs.tolist(), values.tolist())
+        return out
+
+    def test_the_space_has_the_awkward_cells(self):
+        sizes = [len(c) for c in self.CELLS]
+        assert len(self.CELLS) == 300 and min(sizes) >= 1
+        assert sizes.count(1) >= 20
+        assert np.all(self.VALUES[self.CELLS[20]] == 0.0) and sizes[20] > 1
+        assert 0 < np.count_nonzero(self.VALUES == 0.0) - sizes[20]
+        cell_values = [self.VALUES[c] for c in self.CELLS]
+        assert sum(v.max() > 0 and np.sum(v == v.max()) > 1 for v in cell_values) > 1
+
+    def test_cond_expectation(self):
+        got = cond_expectation(self.X, self.PART)
+        want = self.per_cell(
+            lambda w, v: math.fsum(a * b for a, b in zip(w, v)) / math.fsum(w)
+        )
+        np.testing.assert_allclose(got.values, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 64.0, 1e4])
+    def test_cond_p_norm(self, p):
+        got = cond_p_norm(self.X, p, self.PART)
+        want = self.per_cell(lambda w, v: ref_cell_norm(w, v, p))
+        np.testing.assert_allclose(got.values, want, rtol=1e-13, atol=0)
+
+    def test_cond_ess_sup(self):
+        got = cond_ess_sup(self.X, self.PART)
+        assert np.array_equal(got.values, self.per_cell(lambda w, v: max(v)))
+
+    def test_limit_bound(self):
+        report = pnorm_limit_check(self.X, self.PART, [1, 64, 1e4])
+
+        def bound(w, v):
+            top = max(v)
+            if top <= 0:
+                return 0.0
+            mass_top = math.fsum(a for a, b in zip(w, v) if b == top)
+            return -math.log(mass_top / math.fsum(w)) / 1e4
+
+        want = self.per_cell(bound)
+        np.testing.assert_allclose(report.bound, want, rtol=1e-13, atol=0)

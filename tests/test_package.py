@@ -19,16 +19,17 @@ ALLOWED_GUARDS = {
 }
 
 
-def test_import_does_not_load_networkx():
+def test_import_loads_neither_networkx_nor_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, longrates; print(longrates.__file__, 'networkx' in sys.modules)"],
+         "import sys, longrates; print(longrates.__file__, "
+         "'networkx' in sys.modules, 'scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    where, loaded = proc.stdout.split()
+    where, networkx, scipy = proc.stdout.split()
     assert Path(where).is_relative_to(SRC)
-    assert loaded == "False"
+    assert (networkx, scipy) == ("False", "False")
 
 
 class _IsinstanceSites(ast.NodeVisitor):

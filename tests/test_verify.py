@@ -235,3 +235,9 @@ class TestStandardFleet:
             )
             assert report.passed, member.name
             assert report.n_nonconverged == 0, member.name
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("member", standard_fleet(), ids=lambda m: m.name)
+    def test_every_member_rejects_a_seed_outside_64_bits(self, member, seed):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            verify_dir(member.model, 0, 1, SCHEDULE, 10, seed, member.regime)
