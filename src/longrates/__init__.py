@@ -37,15 +37,11 @@ from .measure import (
 )
 from .models import (
     ConstantRate,
-    JumpPath,
-    LatticePath,
     MarkovChain,
     PoissonJump,
     Regime,
     ScenarioSet,
     TimeGrid,
-    bank_account,
-    integrated_rate,
     path_rng,
     simulate_paths,
 )
@@ -82,9 +78,8 @@ __all__ = [
     "x_from_long_zero",
     "ForwardWeights", "TowerReport", "forward_expectation", "rn_weights",
     "tower_identity_check",
-    "ConstantRate", "JumpPath", "LatticePath", "MarkovChain", "PoissonJump",
-    "Regime", "ScenarioSet", "TimeGrid", "bank_account", "integrated_rate",
-    "path_rng", "simulate_paths",
+    "ConstantRate", "MarkovChain", "PoissonJump", "Regime", "ScenarioSet",
+    "TimeGrid", "path_rng", "simulate_paths",
     "DiscountCurve", "McEstimate", "RateCurve", "build_curves",
     "chain_log_prices", "curves_from_log_prices", "log_price_closed_form",
     "price_closed_form", "price_mc", "short_rate_consistency",

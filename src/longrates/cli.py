@@ -118,10 +118,11 @@ def _cmd_simulate(args, doc) -> int:
     n_paths, seed = _mc_params(args, doc)
     scen = simulate_paths(model, grid, n_paths, seed)
     times = grid.reporting_times()
-    rows = []
-    for k, path in enumerate(scen.paths):
-        for u, r in zip(times, path.rate_at(times)):
-            rows.append((k, u, float(r)))
+    rows = [
+        (k, u, float(r))
+        for k, rates in enumerate(scen.rates_at(times))
+        for u, r in zip(times, rates)
+    ]
     n_rows = write_csv(args.out / "paths.csv", ("path", "time", "rate"), rows)
     dump_json(args.out / "summary.json", {
         "command": "simulate",

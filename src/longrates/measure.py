@@ -61,8 +61,7 @@ def rn_weights(scenarios: ScenarioSet, s: float, t: float, price_s_t: float) -> 
         raise ValueError("t exceeds the simulated horizon")
     if not (math.isfinite(price_s_t) and price_s_t > 0):
         raise ValueError("P(s, t) must be positive and finite")
-    ratios = np.array([path.discount(s, t) for path in scenarios.paths])
-    return ForwardWeights(float(s), float(t), ratios / price_s_t)
+    return ForwardWeights(float(s), float(t), scenarios.discounts(s, t) / price_s_t)
 
 
 def forward_expectation(weights: ForwardWeights, payoff) -> McEstimate:

@@ -5,34 +5,40 @@ Three model families are supported:
 - ``ConstantRate``: flat deterministic short rate, valid in discrete or
   continuous time.
 - ``PoissonJump``: continuous-time rate ``r0 + delta * N_u`` driven by a
-  Poisson process ``N`` with the given intensity. Paths store their exact
+  Poisson process ``N`` with the given intensity. Scenarios store their exact
   jump times, so rate integrals carry no discretization error.
 - ``MarkovChain``: discrete-time chain over finitely many one-period rates.
 
 The three share one protocol, so no caller needs to know which one it holds:
 ``regimes`` and ``require_regime(regime)``; ``label``; ``initial_state``;
 ``conditioned(state)``, the model restarted from a state; ``rate_of(state)``,
-the short rate in a state; ``state_at(path, u)``, a path's state at time u;
-and ``log_price_table(states, t, maturities, regime)``, log P(t, T) with one
-row per state and one column per maturity. Private hooks serve the batch
-layers: ``_paths`` (scenario paths), ``_states_at`` (path states at given
-times), ``_mc_discounts`` (Monte Carlo discounts), ``_tower`` (the
-forward-measure check) and ``_spectral`` (the exact long rate, chains only).
+the short rate in a state; and ``log_price_table(states, t, maturities,
+regime)``, log P(t, T) with one row per state and one column per maturity.
+Three private hooks complete it: ``_sample(grid, n, seed, stream)``, the one
+sampler, which only ``simulate_paths`` calls; ``_tower`` (the forward-measure
+check); and ``_spectral`` (the exact long rate, chains only).
+
+``simulate_paths`` returns a ``ScenarioSet`` of arrays, keyed by regime, and
+every consumer reads scenarios from it through ``states_at``, ``rates_at``
+and ``discounts``. A discrete set holds the ``(n_paths, horizon + 1)`` matrix
+of state indices and the one-period rate of each index. A continuous set
+holds the rate ``level + jump * N_u`` as its two numbers and every path's
+sorted jump times in one vector, path i's from ``offsets[i]`` up to
+``offsets[i + 1]``.
 
 Every model is Markov in its state, and a state is encoded as the current
-rate for the jump model, the chain index for the chain, and None for the
-constant model, which has a single state (written 0 in batch state arrays).
-None always means the initial state.
+rate for the jump model and as the chain index for the chain. The constant
+model has a single state, None. Its discrete scenarios are a one-state chain
+whose states read 0; its continuous scenarios are paths without jumps whose
+states read the rate. ``conditioned`` and ``rate_of`` ignore the state of a
+constant model. None always means the initial state.
 
 Per-path randomness is keyed by ``(seed, stream, path_index)`` through the
 counter-based Philox generator. A scenario set is therefore a pure function
 of its arguments: re-running with the same seed reproduces it bit for bit,
 independent of execution order. Paths are drawn in batches: one generator is
-re-keyed per path, chain steps advance every path at once as an
-``(n_paths, n_steps + 1)`` state matrix, and jump paths keep their own
-jump-time arrays. Consumers that need only states or jump times (Monte Carlo
-pricing, the forward-measure check, the monotonicity certificate) read the
-batches directly and never build path objects.
+re-keyed per path, chain steps advance every path at once, and jump paths
+write their jump times into one shared vector.
 """
 
 from __future__ import annotations
@@ -52,14 +58,9 @@ __all__ = [
     "PoissonJump",
     "MarkovChain",
     "ModelSpec",
-    "JumpPath",
-    "LatticePath",
-    "ShortRatePath",
     "ScenarioSet",
     "path_rng",
     "simulate_paths",
-    "bank_account",
-    "integrated_rate",
     "STREAM_PATHS",
     "STREAM_PRICING",
     "STREAM_CONTINUATION",
@@ -182,9 +183,6 @@ class ConstantRate(_Model):
     def rate_of(self, state=None) -> float:
         return float(self.rate)
 
-    def state_at(self, path, u) -> None:
-        return None
-
     def log_price_table(self, states, t, maturities, regime: Regime) -> np.ndarray:
         self.require_regime(regime)
         if regime is Regime.DISCRETE:
@@ -193,20 +191,16 @@ class ConstantRate(_Model):
             row = -self.rate * (np.asarray(maturities, dtype=float) - t)
         return np.tile(row, (len(states), 1))
 
-    def _paths(self, grid: TimeGrid, n: int, seed: int, stream: int) -> tuple:
-        # every path is the same flat path
-        if grid.regime is Regime.CONTINUOUS:
-            return (JumpPath(self.rate, 0.0, np.empty(0), float(grid.horizon)),) * n
-        return (LatticePath(np.full(int(grid.horizon) + 1, self.rate)),) * n
-
-    def _states_at(self, horizon, times, n: int, seed: int) -> np.ndarray:
-        _check_seed(seed)
-        return np.zeros((n, len(times)))
-
-    def _mc_discounts(self, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
-        _check_seed(seed)
-        path = self._paths(grid, 1, seed, STREAM_PRICING)[0]
-        return np.full(n, path.discount(0, grid.horizon))
+    def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
+        # nothing to draw: a one-state chain, or paths without jumps
+        if grid.regime is Regime.DISCRETE:
+            states = np.zeros((n, int(grid.horizon) + 1), dtype=np.int64)
+            rates = np.array([self.rate], dtype=float)
+            return ScenarioSet(grid, states=states, state_rates=rates)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        return ScenarioSet(
+            grid, level=self.rate, jump_times=np.empty(0), offsets=offsets
+        )
 
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
         from . import pricing
@@ -257,10 +251,6 @@ class PoissonJump(_Model):
     def rate_of(self, state=None) -> float:
         return float(self.r0 if state is None else state)
 
-    def state_at(self, path: JumpPath, u) -> float:
-        # exact float: r0 + delta * (jump count), same arithmetic as rate_at
-        return float(path.rate_at(float(u)))
-
     def log_price_table(self, states, t, maturities, regime: Regime) -> np.ndarray:
         self.require_regime(regime)
         lam, delta = self.intensity, self.delta
@@ -270,27 +260,23 @@ class PoissonJump(_Model):
         rates = np.array([self.rate_of(state) for state in states])[:, None]
         return -rates * tau - lam * tau - lam * decay / delta
 
-    def _paths(self, grid: TimeGrid, n: int, seed: int, stream: int) -> tuple:
+    def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
         horizon = float(grid.horizon)
-        batch = _batch_jump_times(self.intensity, horizon, n, seed, stream)
-        return tuple(JumpPath(self.r0, self.delta, t, horizon) for t in batch)
-
-    def _states_at(self, horizon, times, n: int, seed: int) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if np.any(times < 0) or np.any(times > horizon):
-            raise ValueError("time outside [0, horizon]")
-        batch = _batch_jump_times(self.intensity, float(horizon), n, seed, STREAM_PATHS)
-        counts = np.array([jumps.searchsorted(times, side="right") for jumps in batch])
-        # exact float: r0 + delta * (jump count), the arithmetic of JumpPath.rate_at
-        return self.r0 + self.delta * counts
-
-    def _mc_discounts(self, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
-        window = float(grid.horizon)
-        batch = _batch_jump_times(self.intensity, window, n, seed, STREAM_PRICING)
-        return np.array([
-            math.exp(-_integral_from_zero(self.r0, self.delta, times, window))
-            for times in batch
-        ])
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        # one flat buffer, doubled when full, so no per-path array is kept
+        flat = np.empty(int(n * self.intensity * horizon) + 16)
+        end = 0
+        for i, rng in enumerate(_keyed_streams(n, seed, stream)):
+            times = _sample_jump_times(rng, self.intensity, horizon)
+            if end + times.size > flat.size:
+                flat = np.concatenate([flat, np.empty(flat.size + times.size)])
+            flat[end : end + times.size] = times
+            end += times.size
+            offsets[i + 1] = end
+        return ScenarioSet(
+            grid, level=self.r0, jump=self.delta, jump_times=flat[:end].copy(),
+            offsets=offsets,
+        )
 
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
         """Simulated continuations of [s, t] from the initial state."""
@@ -302,19 +288,16 @@ class PoissonJump(_Model):
         lhs = pricing.price_closed_form(self, self.r0, s, T, regime)
         if window == 0.0:
             return lhs, lhs, 0.0, 0.0, n, False
-        TimeGrid(regime, window, output_step=window)  # validates the window
-        batch = _batch_jump_times(self.intensity, window, n, seed, STREAM_CONTINUATION)
-        price_by_count: dict[int, float] = {}
-        samples = np.empty(n)
-        for k, times in enumerate(batch):
-            discount = math.exp(-_integral_from_zero(self.r0, self.delta, times, window))
-            if times.size not in price_by_count:
-                # end rate as JumpPath.rate_at(window): every jump lies in [0, window]
-                r_end = float(self.r0 + self.delta * times.size)
-                price_by_count[times.size] = pricing.price_closed_form(
-                    self, r_end, t, T, regime
-                )
-            samples[k] = discount * price_by_count[times.size]
+        scen = simulate_paths(
+            self, _window_grid(regime, window), n, seed, stream=STREAM_CONTINUATION
+        )
+        # P(t, T) once per distinct end rate
+        ends, per_path = np.unique(scen.states_at((window,)), return_inverse=True)
+        prices = np.array([
+            pricing.price_closed_form(self, r_end, t, T, regime)
+            for r_end in ends.tolist()
+        ])
+        samples = scen.discounts(0.0, window) * prices[per_path.ravel()]
         rhs = float(samples.mean())
         se = float(samples.std(ddof=1) / math.sqrt(n))
         return lhs, rhs, rhs - lhs, se, n, False
@@ -384,11 +367,6 @@ class MarkovChain(_Model):
     def rate_of(self, state=None) -> float:
         return float(self.state_rates[self._index(state)])
 
-    def state_at(self, path: LatticePath, u) -> int:
-        if path.states is None:
-            raise ValueError("chain path lacks recorded states")
-        return int(path.states[_as_period(u, path.horizon)])
-
     def log_price_table(self, states, t, maturities, regime: Regime) -> np.ndarray:
         """One `chain_log_prices` pass serves every state and maturity."""
         from . import pricing
@@ -399,32 +377,37 @@ class MarkovChain(_Model):
         per_gap = pricing.chain_log_prices(self, gaps)
         return np.column_stack([per_gap[gap][rows] for gap in gaps])
 
-    def _paths(self, grid: TimeGrid, n: int, seed: int, stream: int) -> tuple:
-        states = _batch_chain_states(self, int(grid.horizon), n, seed, stream)
-        return tuple(map(LatticePath, self.state_rates[states], states))
-
-    def _states_at(self, horizon, times, n: int, seed: int) -> np.ndarray:
-        periods = [_as_period(u, int(horizon)) for u in times]
-        states = _batch_chain_states(self, int(horizon), n, seed, STREAM_PATHS)
-        return states[:, periods]
-
-    def _mc_discounts(self, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
-        window = int(grid.horizon)
-        states = _batch_chain_states(self, window, n, seed, STREAM_PRICING)
-        # row-wise products of the growth factors before the window's end,
-        # the arithmetic of bank_account
-        growth = 1.0 + self.state_rates[states[:, :window]]
-        return 1.0 / np.prod(growth, axis=1)
+    def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
+        """Row i is the path that ``path_rng(seed, stream, i)`` draws: its
+        uniforms ``rng.random(n_steps)`` pick each next state by inverse CDF
+        from the current state's cumulative transition row. Each step
+        advances every path at once, with one ``searchsorted`` per occupied
+        state, so no temporary grows with n_paths times n_states."""
+        n_steps = int(grid.horizon)
+        draws = np.empty((n, n_steps))
+        for row, rng in zip(draws, _keyed_streams(n, seed, stream)):
+            rng.random(out=row)
+        cum = np.cumsum(self.transition, axis=1)
+        states = np.empty((n, n_steps + 1), dtype=np.int64)
+        states[:, 0] = self.initial_state
+        for k in range(n_steps):
+            now, nxt, u = states[:, k], states[:, k + 1], draws[:, k]
+            for i in np.unique(now):
+                rows = now == i
+                nxt[rows] = cum[i].searchsorted(u[rows], side="right")
+            # the clamp guards u above a row sum rounded below 1
+            np.minimum(nxt, self.n_states - 1, out=nxt)
+        return ScenarioSet(grid, states=states, state_rates=self.state_rates)
 
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
         """Exact: the discounted one-step operator carries P(t, T) back to s
         from every state; the gap is the worst state's."""
         from . import pricing
 
-        n_st, n_tT = int(t - s), int(T - t)
-        lp = pricing.chain_log_prices(self, [n_st + n_tT, n_tT])
-        lhs_vec = np.exp(lp[n_st + n_tT])
-        v = np.exp(lp[n_tT])
+        n_st, n_sT = _periods(s, (t, T))
+        lp = pricing.chain_log_prices(self, [n_sT, n_sT - n_st])
+        lhs_vec = np.exp(lp[n_sT])
+        v = np.exp(lp[n_sT - n_st])
         discounted = self.discounted_transition()
         for _ in range(n_st):
             v = discounted @ v
@@ -441,106 +424,6 @@ class MarkovChain(_Model):
 ModelSpec = Union[ConstantRate, PoissonJump, MarkovChain]
 
 
-@dataclass(frozen=True, eq=False)
-class JumpPath:
-    """Piecewise-constant, non-decreasing continuous-time rate path.
-
-    The rate at time u is ``r0 + delta * N_u`` where ``N_u`` counts jump
-    times <= u. Jump times are exact, so integrals over the path are too.
-    """
-
-    r0: float
-    delta: float
-    jump_times: np.ndarray
-    horizon: float
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.jump_times, dtype=float)
-        object.__setattr__(self, "jump_times", times)
-        if times.ndim != 1:
-            raise ValueError("jump_times must be a vector")
-        if times.size and (times[0] < 0 or times[-1] > self.horizon):
-            raise ValueError("jump times must lie in [0, horizon]")
-        if times.size > 1 and np.any(np.diff(times) < 0):
-            raise ValueError("jump times must be sorted")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-
-    def _check_time(self, u) -> None:
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u > self.horizon):
-            raise ValueError("time outside [0, horizon]")
-
-    def jump_count(self, u):
-        """N_u: number of jumps at or before u (scalar or array)."""
-        self._check_time(u)
-        return np.searchsorted(self.jump_times, u, side="right")
-
-    def rate_at(self, u):
-        return self.r0 + self.delta * self.jump_count(u)
-
-    def integrated(self, s: float, t: float) -> float:
-        """Exact rate integral over [s, t].
-
-        `_integral_from_zero` repeats this arithmetic for bare jump-time
-        arrays; the two must stay in step.
-        """
-        if not 0 <= s <= t <= self.horizon:
-            raise ValueError("need 0 <= s <= t <= horizon")
-        n_before = int(np.searchsorted(self.jump_times, s, side="right"))
-        inside = self.jump_times[(self.jump_times > s) & (self.jump_times <= t)]
-        level = n_before * (t - s) + float(np.sum(t - inside))
-        return self.r0 * (t - s) + self.delta * level
-
-    def bank_account(self, t) -> float:
-        return math.exp(self.integrated(0.0, float(t)))
-
-    def discount(self, s, t) -> float:
-        """B_s / B_t along the path."""
-        return math.exp(-self.integrated(float(s), float(t)))
-
-
-@dataclass(frozen=True, eq=False)
-class LatticePath:
-    """Discrete-time rate path; entry k is the one-period rate R_k."""
-
-    rates: np.ndarray
-    states: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        rates = np.asarray(self.rates, dtype=float)
-        object.__setattr__(self, "rates", rates)
-        if rates.ndim != 1 or rates.size == 0:
-            raise ValueError("rates must be a non-empty vector")
-        if np.any(rates <= -1.0):
-            raise ValueError("rates must satisfy 1 + R > 0")
-        if self.states is not None:
-            states = np.asarray(self.states)
-            object.__setattr__(self, "states", states)
-            if states.shape != rates.shape:
-                raise ValueError("states must align with rates")
-
-    @property
-    def horizon(self) -> int:
-        return int(self.rates.size - 1)
-
-    def rate_at(self, u):
-        """Rate at a whole time u (scalar or array), like `JumpPath.rate_at`."""
-        k = _as_period(u, self.horizon)
-        return self.rates[k] if np.ndim(k) else float(self.rates[k])
-
-    def bank_account(self, t) -> float:
-        return float(np.prod(1.0 + self.rates[: _as_period(t, self.horizon)]))
-
-    def discount(self, s, t) -> float:
-        """B_s / B_t along the path."""
-        lo, hi = _as_period(s, self.horizon), _as_period(t, self.horizon)
-        return 1.0 / float(np.prod(1.0 + self.rates[lo:hi]))
-
-
-ShortRatePath = Union[JumpPath, LatticePath]
-
-
 def _as_period(u, horizon: int):
     """Period index of a whole time in [0, horizon], or an index array."""
     k = np.asarray(u, dtype=float)
@@ -549,6 +432,12 @@ def _as_period(u, horizon: int):
     if np.any(k < 0) or np.any(k > horizon):
         raise ValueError("time outside [0, horizon]")
     return k.astype(int) if k.ndim else int(k)
+
+
+def _window_grid(regime: Regime, horizon) -> TimeGrid:
+    """A grid over [0, horizon]; a continuous one reports only the end."""
+    step = float(horizon) if regime is Regime.CONTINUOUS else None
+    return TimeGrid(regime, horizon, output_step=step)
 
 
 def _periods(t, maturities) -> np.ndarray:
@@ -561,16 +450,96 @@ def _periods(t, maturities) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioSet:
-    """Immutable batch of simulated paths plus the inputs that produced it."""
+    """Simulated paths as arrays, keyed by the grid's regime.
 
-    model: ModelSpec
+    Discrete: ``states`` is the (n_paths, horizon + 1) matrix of state
+    indices and ``state_rates`` the one-period rate of each index.
+    Continuous: the rate is ``level + jump * N_u``, N_u counting a path's
+    jumps at or before u; path i's jump times, sorted, are
+    ``jump_times[offsets[i]:offsets[i + 1]]``.
+    """
+
     grid: TimeGrid
-    paths: tuple[ShortRatePath, ...]
-    seed: int
+    states: np.ndarray | None = None
+    state_rates: np.ndarray | None = None
+    level: float = 0.0
+    jump: float = 0.0
+    jump_times: np.ndarray | None = None
+    offsets: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.grid.regime is Regime.DISCRETE:
+            shape = np.shape(self.states)
+            if len(shape) != 2 or shape[1] != int(self.grid.horizon) + 1:
+                raise ValueError("discrete scenarios need recorded states, "
+                                 "one row of horizon + 1 per path")
+            return
+        times, offsets = self.jump_times, self.offsets
+        if offsets[0] != 0 or offsets[-1] != times.size or np.any(np.diff(offsets) < 0):
+            raise ValueError("offsets must rise from 0 to the number of jump times")
+        if times.size and (times.min() < 0 or times.max() > self.grid.horizon):
+            raise ValueError("jump times must lie in [0, horizon]")
+        if not np.isin(np.flatnonzero(np.diff(times) < 0) + 1, offsets).all():
+            raise ValueError("each path's jump times must be sorted")
 
     @property
     def n_paths(self) -> int:
-        return len(self.paths)
+        if self.grid.regime is Regime.DISCRETE:
+            return len(self.states)
+        return len(self.offsets) - 1
+
+    def states_at(self, times) -> np.ndarray:
+        """States at each time, one row per path: chain indices in discrete
+        time, rates in continuous time."""
+        if self.grid.regime is Regime.DISCRETE:
+            return self.states[:, _as_period(times, int(self.grid.horizon))]
+        return self.level + self.jump * self._jump_counts(times)
+
+    def rates_at(self, times) -> np.ndarray:
+        """Short rates at each time, one row per path."""
+        if self.grid.regime is Regime.DISCRETE:
+            return self.state_rates[self.states_at(times)]
+        return self.states_at(times)
+
+    def discounts(self, s, t) -> np.ndarray:
+        """B_s / B_t of each path. A discrete bank account grows by 1 + R_k
+        in period k, so the ratio is set by the rates before t; a continuous
+        one by the exact rate integral."""
+        if self.grid.regime is Regime.DISCRETE:
+            lo, hi = _as_period((s, t), int(self.grid.horizon))
+            growth = 1.0 + self.state_rates
+            # blocks of rows bound the (paths, periods) growth matrix
+            rows = 1 + (1 << 20) // max(1, hi - lo)
+            return np.concatenate([
+                1.0 / np.prod(growth[block[:, lo:hi]], axis=1)
+                for block in np.split(self.states, range(rows, self.n_paths, rows))
+            ])
+        s, t = float(s), float(t)
+        if not 0 <= s <= t <= self.grid.horizon:
+            raise ValueError("need 0 <= s <= t <= horizon")
+        before, upto = self._jump_counts((s, t)).T
+        gaps = t - self.jump_times
+        first = self.offsets[:-1]
+        # one ndarray.sum per path, the float a lone path's integral gets;
+        # np.add.reduceat over all paths rounds differently
+        inside = np.fromiter(
+            (gaps[a:b].sum() for a, b in zip(first + before, first + upto)),
+            float, count=self.n_paths,
+        )
+        integrals = self.level * (t - s) + self.jump * (before * (t - s) + inside)
+        # math.exp, as np.exp can differ from it in the last bit
+        return np.fromiter((math.exp(-x) for x in integrals), float, count=self.n_paths)
+
+    def _jump_counts(self, times) -> np.ndarray:
+        """Each path's number of jumps at or before each time."""
+        u = np.asarray(times, dtype=float)
+        if np.any(u < 0) or np.any(u > self.grid.horizon):
+            raise ValueError("time outside [0, horizon]")
+        n = self.n_paths
+        path = np.repeat(np.arange(n), np.diff(self.offsets))
+        return np.column_stack(
+            [np.bincount(path[self.jump_times <= v], minlength=n) for v in u]
+        )
 
 
 def simulate_paths(
@@ -586,8 +555,7 @@ def simulate_paths(
         raise ValueError("n_paths must be at least 1")
     _check_seed(seed)
     model.require_regime(grid.regime)
-    paths = model._paths(grid, n_paths, seed, stream)
-    return ScenarioSet(model, grid, paths, int(seed))
+    return model._sample(grid, n_paths, int(seed), stream)
 
 
 def _sample_jump_times(
@@ -613,7 +581,6 @@ def _keyed_streams(n: int, seed: int, stream: int) -> Iterator[np.random.Generat
     zero counter, empty buffer), which costs a fraction of the construction.
     Each yielded generator is the same object, valid until the next is drawn.
     """
-    _check_seed(seed)
     key = np.array([(int(seed) ^ int(stream)) & _MASK64, 0], dtype=np.uint64)
     bit_gen = np.random.Philox(key=key)
     fresh = bit_gen.state  # a copy; only its key's path index changes below
@@ -626,69 +593,3 @@ def _keyed_streams(n: int, seed: int, stream: int) -> Iterator[np.random.Generat
             yield rng
 
     return rekey()
-
-
-def _batch_jump_times(
-    intensity: float, horizon: float, n: int, seed: int, stream: int
-) -> Iterator[np.ndarray]:
-    """Jump times on [0, horizon] of paths 0..n-1, as `simulate_paths` draws them."""
-    return (
-        _sample_jump_times(rng, intensity, horizon)
-        for rng in _keyed_streams(n, seed, stream)
-    )
-
-
-def _batch_chain_states(
-    model: MarkovChain, n_steps: int, n: int, seed: int, stream: int
-) -> np.ndarray:
-    """States of chain paths 0..n-1 over n_steps periods, one row per path.
-
-    Row i is the path that ``path_rng(seed, stream, i)`` draws: its uniforms
-    ``rng.random(n_steps)`` pick each next state by inverse CDF from the
-    current state's cumulative transition row. Each step advances every path
-    at once, with one ``searchsorted`` per occupied state, so no temporary
-    grows with n_paths times n_states.
-    """
-    draws = np.empty((n, n_steps))
-    for row, rng in zip(draws, _keyed_streams(n, seed, stream)):
-        rng.random(out=row)
-    cum = np.cumsum(model.transition, axis=1)
-    states = np.empty((n, n_steps + 1), dtype=np.int64)
-    states[:, 0] = model.initial_state
-    for k in range(n_steps):
-        now, nxt, u = states[:, k], states[:, k + 1], draws[:, k]
-        for i in np.unique(now):
-            rows = now == i
-            nxt[rows] = cum[i].searchsorted(u[rows], side="right")
-        # the clamp guards u above a row sum rounded below 1
-        np.minimum(nxt, model.n_states - 1, out=nxt)
-    return states
-
-
-def _integral_from_zero(
-    r0: float, delta: float, jump_times: np.ndarray, t: float
-) -> float:
-    """``JumpPath(r0, delta, jump_times, t).integrated(0.0, t)`` without the path.
-
-    Same arithmetic, hence the same float: the jump times are sorted and lie
-    in [0, t], so the ones inside (0, t] are those after the jumps at 0.
-    """
-    n_at_zero = int(jump_times.searchsorted(0.0, side="right"))
-    level = n_at_zero * t + float((t - jump_times[n_at_zero:]).sum())
-    return r0 * t + delta * level
-
-
-def bank_account(path: ShortRatePath, t) -> float:
-    """Value at t of one unit rolled at the short rate from time 0.
-
-    Discrete paths use the exact product of per-period growth factors over
-    periods strictly before t, so the value is determined by rates the
-    market has already set. Continuous paths use the exact rate integral.
-    """
-    return path.bank_account(t)
-
-
-def integrated_rate(path: ShortRatePath, s: float, t: float) -> float:
-    if not isinstance(path, JumpPath):
-        raise ValueError("integrated_rate applies to continuous-regime paths")
-    return path.integrated(float(s), float(t))

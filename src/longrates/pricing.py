@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import MarkovChain, ModelSpec, Regime, TimeGrid, _periods
+from .models import (
+    STREAM_PRICING,
+    MarkovChain,
+    ModelSpec,
+    Regime,
+    _periods,
+    _window_grid,
+    simulate_paths,
+)
 
 __all__ = [
     "McEstimate",
@@ -162,11 +170,8 @@ def price_mc(
     seed: int,
     regime: Regime,
 ) -> McEstimate:
-    """Monte Carlo price: mean of 1 / bank_account over restarted paths.
-
-    Each path is drawn from its own keyed stream and discounted directly,
-    without building path objects.
-    """
+    """Monte Carlo price: mean of the discount B_t / B_T over paths
+    restarted from the state at t, each drawn from its own keyed stream."""
     model.require_regime(regime)
     if T < t:
         raise ValueError("maturity precedes observation time")
@@ -175,12 +180,11 @@ def price_mc(
     window = int(_periods(t, [T])[0]) if regime is Regime.DISCRETE else float(T - t)
     if window == 0:
         return McEstimate(1.0, 0.0, n)
-    grid = TimeGrid(
-        regime,
-        window,
-        output_step=window if regime is Regime.CONTINUOUS else None,
+    scen = simulate_paths(
+        model.conditioned(state), _window_grid(regime, window), n, seed,
+        stream=STREAM_PRICING,
     )
-    samples = model.conditioned(state)._mc_discounts(grid, n, seed)
+    samples = scen.discounts(0, window)
     value = float(samples.mean())
     std_error = float(samples.std(ddof=1) / math.sqrt(n))
     return McEstimate(value, std_error, n)

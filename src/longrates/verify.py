@@ -23,7 +23,9 @@ from .models import (
     PoissonJump,
     Regime,
     STREAM_CONTINUATION,
+    _window_grid,
     path_rng,
+    simulate_paths,
 )
 from .pricing import build_curves, price_closed_form, price_mc
 
@@ -121,7 +123,7 @@ def verify_dir(
 
     The maturity schedule lists times to maturity appended to each
     observation time. Conditioning on the information at s and t uses the
-    Markov state there, read off the batch sampler without building paths.
+    Markov state there, read off the scenarios of `simulate_paths`.
     Every model is time-homogeneous, so one table of log prices over the
     schedule, one row per distinct state at either time, serves both
     observation times; each distinct state is extracted once per time and
@@ -139,10 +141,9 @@ def verify_dir(
             raise ValueError("discrete observation times must be integers")
         if np.any(taus != np.round(taus)):
             raise ValueError("discrete maturity schedule must be integers")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
 
-    states = model._states_at(t, (s, t), n_paths, seed)
+    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
+    states = scenarios.states_at((s, t))
     distinct, inverse = np.unique(states, return_inverse=True)
     inverse = inverse.reshape(states.shape)
     # log P(obs, obs + tau) from a state depends on tau only
@@ -285,6 +286,8 @@ def run_poisson_example(
         raise ValueError("delta must be non-negative")
     if not 0 <= s < t:
         raise ValueError("need 0 <= s < t")
+    if n_continuations < 2:
+        raise ValueError("n_continuations must be at least 2")
     model: ModelSpec
     if delta == 0.0:
         model = ConstantRate(r0)
@@ -309,7 +312,8 @@ def run_poisson_example(
     )
 
     # long-zero identity at t, one extraction per distinct state
-    states = model._states_at(float(t), (t,), n_paths, seed)
+    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
+    states = scenarios.states_at((t,))
     gap_max = 0.0
     bound_max = 0.0
     identity_ok = True

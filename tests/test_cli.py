@@ -149,6 +149,15 @@ class TestVerifyMeasure:
         assert summary["passed"] is True
         assert csv_lines(tmp_path / "measure.csv")[0] == "s,t,T,lhs,rhs,gap,se"
 
+    def test_fractional_discrete_time_is_a_config_error(self, tmp_path):
+        doc = json.loads((CONFIGS / "markov2.json").read_text())
+        doc["times"]["s"] = 0.5
+        bad = tmp_path / "half.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("verify-measure", "--config", bad, "--out", out) == EXIT_USAGE
+        assert not (out / "measure.csv").exists()
+
     def test_poisson_monte_carlo(self, tmp_path):
         code = run_cli("verify-measure", "--config", CONFIGS / "poisson.json",
                        "--out", tmp_path)

@@ -17,6 +17,8 @@ from longrates.models import (
     Regime,
     STREAM_CONTINUATION,
     TimeGrid,
+    _sample_jump_times,
+    path_rng,
     simulate_paths,
 )
 from longrates.pricing import chain_log_prices, price_closed_form
@@ -102,6 +104,15 @@ class TestTowerIdentity:
         assert abs(report.gap) <= 1e-12
         assert report.passed()
 
+    def test_fractional_discrete_times_rejected(self):
+        # the chain's exact check counts whole periods, like every discrete
+        # price; a fractional time must not be truncated to one
+        for model in (SYM2, ConstantRate(0.03)):
+            with pytest.raises(ValueError, match="integers"):
+                tower_identity_check(model, 0.5, 2, 6, Regime.DISCRETE)
+            with pytest.raises(ValueError, match="integers"):
+                tower_identity_check(model, 0, 2.5, 6, Regime.DISCRETE)
+
     def test_chain_degenerate_window(self):
         report = tower_identity_check(SYM2, 2, 2, 6, Regime.DISCRETE)
         assert report.gap == 0.0
@@ -126,20 +137,22 @@ class TestTowerIdentity:
         assert report.passed()
 
     def test_poisson_equals_per_path_route(self):
-        # the check skips path objects for jump models; it must still return
-        # exactly the report of the simulated continuations it stands for
+        # the check reads whole scenario arrays; it must return exactly the
+        # report of the same continuations drawn and priced one by one
         s, t, T, n, seed = 1.0, 4.0, 9.0, 3000, 5
         reg = Regime.CONTINUOUS
-        grid = TimeGrid(reg, t - s, output_step=t - s)
-        scen = simulate_paths(
-            POISSON.conditioned(POISSON.r0), grid, n, seed,
-            stream=STREAM_CONTINUATION,
-        )
-        samples = np.array([
-            math.exp(-path.integrated(0.0, t - s))
-            * price_closed_form(POISSON, POISSON.state_at(path, t - s), t, T, reg)
-            for path in scen.paths
-        ])
+        window = t - s
+        r0, delta = POISSON.r0, POISSON.delta
+        samples = []
+        for i in range(n):
+            rng = path_rng(seed, STREAM_CONTINUATION, i)
+            jumps = _sample_jump_times(rng, POISSON.intensity, window)
+            before = int(np.sum(jumps <= 0.0))
+            level = before * window + float(np.sum(window - jumps[before:]))
+            discount = math.exp(-(r0 * window + delta * level))
+            r_end = r0 + delta * jumps.size
+            samples.append(discount * price_closed_form(POISSON, r_end, t, T, reg))
+        samples = np.array(samples)
         lhs = price_closed_form(POISSON, POISSON.r0, s, T, reg)
         rhs = float(samples.mean())
         se = float(samples.std(ddof=1) / math.sqrt(n))
@@ -167,9 +180,7 @@ class TestFullPipeline:
         p_st = float(np.exp(lp[t - s][SYM2.initial_state]))
         p_sT = float(np.exp(lp[T - s][SYM2.initial_state]))
         fw = rn_weights(scen, s, t, p_st)
-        payoff = np.array(
-            [np.exp(lp[T - t][SYM2.state_at(path, t)]) for path in scen.paths]
-        )
+        payoff = np.exp(lp[T - t][scen.states_at((t,))[:, 0]])
         est = forward_expectation(fw, payoff)
         assert abs(est.value - p_sT / p_st) <= 3.5 * est.std_error
 
@@ -181,10 +192,8 @@ class TestFullPipeline:
         p_sT = price_closed_form(POISSON, None, s, T, Regime.CONTINUOUS)
         fw = rn_weights(scen, s, t, p_st)
         payoff = np.array([
-            price_closed_form(
-                POISSON, POISSON.state_at(path, t), t, T, Regime.CONTINUOUS
-            )
-            for path in scen.paths
+            price_closed_form(POISSON, state, t, T, Regime.CONTINUOUS)
+            for state in scen.states_at((t,))[:, 0]
         ])
         est = forward_expectation(fw, payoff)
         assert abs(est.value - p_sT / p_st) <= 3.5 * est.std_error

@@ -6,27 +6,50 @@ from hypothesis import given, strategies as st
 
 from longrates.models import (
     ConstantRate,
-    JumpPath,
-    LatticePath,
     MarkovChain,
     PoissonJump,
     Regime,
     STREAM_CONTINUATION,
     STREAM_PATHS,
     STREAM_PRICING,
+    ScenarioSet,
     TimeGrid,
-    _batch_chain_states,
-    _batch_jump_times,
-    _integral_from_zero,
     _sample_jump_times,
-    bank_account,
-    integrated_rate,
     path_rng,
     simulate_paths,
 )
 from longrates.verify import standard_fleet, verify_dir
 
 SYM2 = MarkovChain([0.0, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
+
+
+def jump_set(level, jump, paths, horizon):
+    """Continuous scenarios from hand-written jump times, one list per path."""
+    times = np.array([u for path in paths for u in path], dtype=float)
+    offsets = np.cumsum([0] + [len(path) for path in paths])
+    return ScenarioSet(
+        TimeGrid(Regime.CONTINUOUS, horizon, horizon),
+        level=level, jump=jump, jump_times=times, offsets=offsets,
+    )
+
+
+def lattice_set(*paths):
+    """Discrete scenarios whose path k steps through the one-period rates
+    ``paths[k]``: every (path, period) has a state of its own."""
+    rates = np.asarray(paths, dtype=float)
+    states = np.arange(rates.size).reshape(rates.shape)
+    return ScenarioSet(
+        TimeGrid(Regime.DISCRETE, rates.shape[1] - 1),
+        states=states, state_rates=rates.ravel(),
+    )
+
+
+def integral_by_hand(level, jump, times, s, t):
+    """One path's rate integral over [s, t], summing its own jumps."""
+    times = np.asarray(times, dtype=float)
+    before = int(np.sum(times <= s))
+    inside = times[(times > s) & (times <= t)]
+    return level * (t - s) + jump * (before * (t - s) + float(np.sum(t - inside)))
 
 
 class TestTimeGrid:
@@ -129,20 +152,28 @@ class TestRng:
         (STREAM_PATHS, STREAM_PATHS, 9),
     ])
     def test_batch_rekeying_matches_path_rng(self, seed, stream, index):
-        # the batch route resets one generator per path; it must draw what a
+        # the sampler resets one generator per path; it must draw what a
         # freshly keyed path_rng(seed, stream, index) would
         lam, horizon = 2.0, 7.5
-        batch = _batch_jump_times(lam, horizon, index + 1, seed, stream)
-        got = list(batch)
-        assert len(got) == index + 1
+        grid = TimeGrid(Regime.CONTINUOUS, horizon, horizon)
+        scen = simulate_paths(PoissonJump(0.0, 1.0, lam), grid, index + 1, seed,
+                              stream=stream)
+        assert scen.n_paths == index + 1
         for i in (0, index):
             want = _sample_jump_times(path_rng(seed, stream, i), lam, horizon)
-            assert got[i].dtype == want.dtype
-            assert np.array_equal(got[i], want)
+            got = scen.jump_times[scen.offsets[i]:scen.offsets[i + 1]]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_batch_rejects_bad_seed_before_drawing(self):
-        with pytest.raises(ValueError):
-            _batch_jump_times(0.5, 1.0, 3, -1, STREAM_PATHS)
+        for model, regime in [
+            (ConstantRate(0.03), Regime.DISCRETE),
+            (ConstantRate(0.03), Regime.CONTINUOUS),
+            (SYM2, Regime.DISCRETE),
+            (PoissonJump(0.05, 0.1, 0.5), Regime.CONTINUOUS),
+        ]:
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                simulate_paths(model, four_period_grid(regime), 3, -1)
 
     @pytest.mark.parametrize("seed,stream,index", [
         (0, STREAM_PATHS, 0),
@@ -160,7 +191,8 @@ class TestRng:
             1,
         )
         n_steps = 12
-        states = _batch_chain_states(chain, n_steps, index + 1, seed, stream)
+        grid = TimeGrid(Regime.DISCRETE, n_steps)
+        states = simulate_paths(chain, grid, index + 1, seed, stream=stream).states
         assert states.shape == (index + 1, n_steps + 1)
         cum = np.cumsum(chain.transition, axis=1)
         for i in (0, index):
@@ -176,48 +208,66 @@ class TestRng:
         model = PoissonJump(0.05, 0.1, 0.5)
         times = (0.0, 2.5, 6.0)
         scen = simulate_paths(model, grid, 50, 4)
-        got = model._states_at(6.0, times, 50, 4)
-        want = [[model.state_at(p, u) for u in times] for p in scen.paths]
-        assert got.tolist() == want
-        # the constant model's one state is written 0 in batch arrays
-        flat = ConstantRate(0.03)._states_at(6.0, times, 50, 4)
-        assert np.array_equal(flat, np.zeros((50, 3)))
+        want = []
+        for i in range(50):
+            jumps = _sample_jump_times(path_rng(4, STREAM_PATHS, i), 0.5, 6.0)
+            want.append([0.05 + 0.1 * int(np.sum(jumps <= u)) for u in times])
+        assert scen.states_at(times).tolist() == want
+        # a constant model's paths have no jumps: their state is the rate
+        flat = simulate_paths(ConstantRate(0.03), grid, 50, 4).states_at(times)
+        assert np.array_equal(flat, np.full((50, 3), 0.03))
+        # in discrete time they are a one-state chain, in state 0
+        grid = TimeGrid(Regime.DISCRETE, 6)
+        lattice = simulate_paths(ConstantRate(0.03), grid, 50, 4).states_at((0, 3, 6))
+        assert np.array_equal(lattice, np.zeros((50, 3)))
         with pytest.raises(ValueError, match="horizon"):
-            model._states_at(6.0, (7.0,), 5, 4)
+            scen.states_at((7.0,))
 
 
 class TestJumpPath:
     def test_integrated_matches_hand_computation(self):
         # r = 0.02 on [0,1), 0.52 on [1,3), 1.02 on [3,5]
-        path = JumpPath(0.02, 0.5, np.array([1.0, 3.0]), 5.0)
-        assert path.integrated(0.0, 5.0) == pytest.approx(3.1, abs=1e-15)
-        assert path.integrated(2.0, 4.0) == pytest.approx(1.54, abs=1e-15)
-        assert path.integrated(2.0, 2.0) == 0.0
+        scen = jump_set(0.02, 0.5, [[1.0, 3.0]], 5.0)
+        assert scen.discounts(0.0, 5.0)[0] == pytest.approx(math.exp(-3.1), rel=2e-15)
+        assert scen.discounts(2.0, 4.0)[0] == pytest.approx(math.exp(-1.54), rel=2e-15)
+        assert scen.discounts(2.0, 2.0)[0] == 1.0
 
     def test_rate_and_count_are_right_continuous(self):
-        path = JumpPath(0.02, 0.5, np.array([1.0, 3.0]), 5.0)
-        assert path.rate_at(1.0) == pytest.approx(0.52)
-        assert path.rate_at(0.999) == pytest.approx(0.02)
-        assert path.jump_count(5.0) == 2
+        scen = jump_set(0.02, 0.5, [[1.0, 3.0]], 5.0)
+        rates = scen.rates_at((1.0, 0.999, 5.0))[0]
+        assert rates == pytest.approx([0.52, 0.02, 1.02])
+        assert scen.states_at((5.0,))[0, 0] == 0.02 + 0.5 * 2
 
     def test_time_bounds_enforced(self):
-        path = JumpPath(0.02, 0.5, np.array([1.0]), 5.0)
+        scen = jump_set(0.02, 0.5, [[1.0]], 5.0)
         with pytest.raises(ValueError):
-            path.rate_at(5.5)
+            scen.rates_at((5.5,))
         with pytest.raises(ValueError):
-            path.integrated(3.0, 2.0)
+            scen.discounts(3.0, 2.0)
+        with pytest.raises(ValueError):
+            scen.discounts(1.0, 5.5)
 
     @pytest.mark.parametrize("times", [
         [], [0.0], [0.0, 0.0, 2.5], [1.0, 3.0], [0.5, 5.0], [5.0, 5.0],
+        [0.4, 0.9, 1.1, 2.3, 3.2, 4.0, 4.3, 4.5, 4.7],
     ])
     def test_integral_from_zero_matches_path_exactly(self, times):
-        times = np.array(times, dtype=float)
-        path = JumpPath(0.02, 0.5, times, 5.0)
-        assert _integral_from_zero(0.02, 0.5, times, 5.0) == path.integrated(0.0, 5.0)
+        # the route over a whole set must give each path the float of its
+        # own integral; the nine jumps of the last case sum to a different
+        # float in order than ndarray.sum's pairwise sum
+        paths = [times, [0.25, 4.0], [], sorted(5.0 - u for u in times)]
+        scen = jump_set(0.02, 0.5, paths, 5.0)
+        for s, t in ((0.0, 5.0), (0.0, 2.5), (1.0, 4.0)):
+            want = [math.exp(-integral_by_hand(0.02, 0.5, p, s, t)) for p in paths]
+            assert scen.discounts(s, t).tolist() == want
 
     def test_unsorted_jumps_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            JumpPath(0.02, 0.5, np.array([3.0, 1.0]), 5.0)
+            jump_set(0.02, 0.5, [[3.0, 1.0]], 5.0)
+        # a later path may start before an earlier one ends
+        assert jump_set(0.02, 0.5, [[3.0], [1.0]], 5.0).n_paths == 2
+        with pytest.raises(ValueError, match="horizon"):
+            jump_set(0.02, 0.5, [[1.0, 6.0]], 5.0)
 
     @given(
         st.lists(st.floats(0.0, 10.0, allow_nan=False), max_size=8),
@@ -225,81 +275,85 @@ class TestJumpPath:
         st.floats(0.0, 10.0, allow_nan=False),
     )
     def test_integral_is_additive(self, times, a, b):
-        path = JumpPath(0.03, 0.25, np.sort(np.asarray(times)), 10.0)
+        scen = jump_set(0.03, 0.25, [sorted(times)], 10.0)
         s, t = sorted((a, b))
-        whole = path.integrated(0.0, t)
-        split = path.integrated(0.0, s) + path.integrated(s, t)
+        whole = -math.log(scen.discounts(0.0, t)[0])
+        split = -math.log(scen.discounts(0.0, s)[0]) - math.log(scen.discounts(s, t)[0])
         assert abs(whole - split) <= 1e-9
 
 
 class TestBankAccount:
     def test_discrete_product_oracle(self):
-        path = LatticePath(np.array([0.1, 0.2, 0.3]))
-        assert bank_account(path, 0) == 1.0
-        assert bank_account(path, 1) == pytest.approx(1.1, abs=1e-15)
-        assert bank_account(path, 2) == pytest.approx(1.32, abs=1e-15)
+        scen = lattice_set([0.1, 0.2, 0.3])
+        assert scen.discounts(0, 0)[0] == 1.0
+        assert 1.0 / scen.discounts(0, 1)[0] == pytest.approx(1.1, abs=1e-15)
+        assert 1.0 / scen.discounts(0, 2)[0] == pytest.approx(1.32, abs=1e-15)
 
     def test_discrete_value_set_by_earlier_rates_only(self):
-        base = LatticePath(np.array([0.1, 0.2, 0.3]))
-        tweaked = LatticePath(np.array([0.1, 0.2, 0.9]))
-        assert bank_account(base, 2) == bank_account(tweaked, 2)
-        assert bank_account(base, 2) != bank_account(base, 1)
+        scen = lattice_set([0.1, 0.2, 0.3], [0.1, 0.2, 0.9])
+        base, tweaked = scen.discounts(0, 2)
+        assert base == tweaked
+        assert base != scen.discounts(0, 1)[0]
 
     def test_discrete_rejects_fractional_time(self):
-        path = LatticePath(np.array([0.1, 0.2]))
+        scen = lattice_set([0.1, 0.2])
         with pytest.raises(ValueError, match="integers"):
-            bank_account(path, 0.5)
+            scen.discounts(0, 0.5)
 
     def test_continuous_flat_path(self):
-        path = JumpPath(0.04, 0.0, np.empty(0), 10.0)
-        assert bank_account(path, 10.0) == pytest.approx(math.exp(0.4), rel=1e-15)
-        assert integrated_rate(path, 2.0, 6.0) == pytest.approx(0.16, abs=1e-15)
+        scen = jump_set(0.04, 0.0, [[]], 10.0)
+        growth = 1.0 / scen.discounts(0.0, 10.0)[0]
+        assert growth == pytest.approx(math.exp(0.4), rel=1e-15)
+        assert scen.discounts(2.0, 6.0)[0] == pytest.approx(math.exp(-0.16), rel=1e-15)
 
-    def test_integrated_rate_rejects_lattice(self):
-        with pytest.raises(ValueError, match="continuous"):
-            integrated_rate(LatticePath(np.array([0.1, 0.2])), 0, 1)
+    def test_discrete_blocks_give_the_whole_product(self):
+        # 20,000 paths of 64 periods are discounted in two blocks of rows
+        scen = simulate_paths(SYM2, TimeGrid(Regime.DISCRETE, 64), 20_000, 3)
+        growth = (1.0 + SYM2.state_rates)[scen.states[:, 1:64]]
+        want = 1.0 / np.prod(growth, axis=1)
+        assert np.array_equal(scen.discounts(1, 64), want)
 
     @given(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=8), st.data())
     def test_discrete_growth_is_multiplicative(self, rates, data):
-        path = LatticePath(np.asarray(rates))
+        scen = lattice_set(rates)
         t = data.draw(st.integers(0, len(rates) - 1))
         u = data.draw(st.integers(t, len(rates) - 1))
-        chunk = float(np.prod(1.0 + path.rates[t:u]))
-        assert bank_account(path, u) == pytest.approx(
-            bank_account(path, t) * chunk, rel=1e-12
+        chunk = float(np.prod(1.0 + np.asarray(rates)[t:u]))
+        assert 1.0 / scen.discounts(0, u)[0] == pytest.approx(
+            chunk / scen.discounts(0, t)[0], rel=1e-12
         )
 
 
 class TestSimulation:
     def test_constant_paths_are_flat_and_shared(self):
-        scen = simulate_paths(ConstantRate(0.03), TimeGrid(Regime.DISCRETE, 4), 5, 0)
-        assert scen.n_paths == 5
-        for path in scen.paths:
-            assert np.all(path.rates == 0.03)
+        for regime in Regime:
+            grid = four_period_grid(regime)
+            scen = simulate_paths(ConstantRate(0.03), grid, 5, 0)
+            assert scen.n_paths == 5
+            assert np.all(scen.rates_at(grid.reporting_times()) == 0.03)
 
     def test_bit_identical_reruns(self):
         model = PoissonJump(0.05, 0.1, 0.5)
         grid = TimeGrid(Regime.CONTINUOUS, 10.0, 1.0)
         a = simulate_paths(model, grid, 40, 7)
         b = simulate_paths(model, grid, 40, 7)
-        for pa, pb in zip(a.paths, b.paths):
-            assert np.array_equal(pa.jump_times, pb.jump_times)
+        assert np.array_equal(a.jump_times, b.jump_times)
+        assert np.array_equal(a.offsets, b.offsets)
 
     def test_different_seeds_differ(self):
         grid = TimeGrid(Regime.CONTINUOUS, 10.0, 1.0)
         model = PoissonJump(0.05, 0.1, 0.5)
         a = simulate_paths(model, grid, 10, 1)
         b = simulate_paths(model, grid, 10, 2)
-        assert any(
-            not np.array_equal(pa.jump_times, pb.jump_times)
-            for pa, pb in zip(a.paths, b.paths)
+        assert a.jump_times.shape != b.jump_times.shape or not np.array_equal(
+            a.jump_times, b.jump_times
         )
 
     def test_poisson_count_moments(self):
         # N(4) ~ Poisson(2): check mean and variance at 4 sigma
         model = PoissonJump(0.05, 0.1, 0.5)
         scen = simulate_paths(model, TimeGrid(Regime.CONTINUOUS, 4.0, 4.0), 20_000, 11)
-        counts = np.array([p.jump_times.size for p in scen.paths])
+        counts = np.diff(scen.offsets)
         mean_se = math.sqrt(2.0 / counts.size)
         assert abs(counts.mean() - 2.0) <= 4 * mean_se
         var_se = math.sqrt((2.0 + 3 * 4.0 - 4.0 * (counts.size - 3) / (counts.size - 1))
@@ -310,23 +364,22 @@ class TestSimulation:
         scen = simulate_paths(
             PoissonJump(0.05, 0.1, 0.5), TimeGrid(Regime.CONTINUOUS, 10.0, 0.5), 50, 5
         )
-        times = scen.grid.reporting_times()
-        for path in scen.paths:
-            rates = path.rate_at(times)
-            assert np.all(np.diff(rates) >= 0)
-            assert path.jump_times.size == 0 or path.jump_times[-1] <= 10.0
+        rates = scen.rates_at(scen.grid.reporting_times())
+        assert rates.shape == (50, 21)
+        assert np.all(np.diff(rates, axis=1) >= 0)
+        assert np.all(scen.jump_times <= 10.0)
 
     def test_chain_transition_frequency(self):
         model = MarkovChain([0.0, 0.1], [[0.7, 0.3], [0.4, 0.6]], 0)
         scen = simulate_paths(model, TimeGrid(Regime.DISCRETE, 1), 4000, 9)
-        hits = np.mean([p.states[1] for p in scen.paths])
+        hits = np.mean(scen.states_at((1,)))
         se = math.sqrt(0.3 * 0.7 / 4000)
         assert abs(hits - 0.3) <= 4 * se
 
     def test_chain_paths_record_states_and_rates(self):
         scen = simulate_paths(SYM2, TimeGrid(Regime.DISCRETE, 5), 20, 1)
-        for path in scen.paths:
-            assert np.array_equal(path.rates, SYM2.state_rates[path.states])
+        assert scen.states.shape == (20, 6)
+        assert np.array_equal(scen.rates_at(range(6)), SYM2.state_rates[scen.states])
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="n_paths"):
@@ -350,16 +403,26 @@ class TestConditioning:
 
     def test_state_encodings_round_trip(self):
         model = PoissonJump(0.05, 0.1, 0.5)
-        path = JumpPath(0.05, 0.1, np.array([1.0, 2.0]), 5.0)
-        assert model.state_at(path, 3.0) == pytest.approx(0.25)
-        assert model.rate_of(model.state_at(path, 3.0)) == pytest.approx(0.25)
+        state = jump_set(0.05, 0.1, [[1.0, 2.0]], 5.0).states_at((3.0,))[0, 0]
+        assert state == pytest.approx(0.25)
+        assert model.rate_of(state) == pytest.approx(0.25)
         assert model.initial_state == 0.05
         assert SYM2.initial_state == 0
-        assert ConstantRate(0.03).state_at(path, 1.0) is None
+        flat = ConstantRate(0.03)
+        assert flat.initial_state is None
+        for regime in Regime:
+            scen = simulate_paths(flat, four_period_grid(regime), 2, 0)
+            for state in scen.states_at((0, 3))[0]:
+                assert flat.rate_of(state) == 0.03
+                assert flat.conditioned(state) == flat
 
     def test_chain_state_needs_recorded_states(self):
+        grid = TimeGrid(Regime.DISCRETE, 1)
         with pytest.raises(ValueError, match="states"):
-            SYM2.state_at(LatticePath(np.array([0.0, 0.1])), 1)
+            ScenarioSet(grid, state_rates=SYM2.state_rates)
+        with pytest.raises(ValueError, match="states"):
+            ScenarioSet(grid, states=np.zeros((3, 3), dtype=int),
+                        state_rates=SYM2.state_rates)
 
 
 PROTOCOL_CASES = [
@@ -390,10 +453,11 @@ class TestProtocol:
         assert np.array_equal(both, np.vstack([want, want]))
 
     def test_rate_of_the_initial_state_is_the_short_rate(self, model, regime):
-        path = simulate_paths(model, four_period_grid(regime), 1, 0).paths[0]
-        assert model.rate_of(model.initial_state) == path.rate_at(0)
-        assert model.rate_of(None) == path.rate_at(0)
-        assert model.rate_of(model.state_at(path, 2)) == path.rate_at(2)
+        scen = simulate_paths(model, four_period_grid(regime), 1, 0)
+        rate_0, rate_2 = scen.rates_at((0, 2))[0]
+        assert model.rate_of(model.initial_state) == rate_0
+        assert model.rate_of(None) == rate_0
+        assert model.rate_of(scen.states_at((2,))[0, 0]) == rate_2
 
     def test_zero_time_to_maturity_has_log_price_zero(self, model, regime):
         table = model.log_price_table([None, model.initial_state], 3, (3, 5), regime)

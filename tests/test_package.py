@@ -1,6 +1,6 @@
-"""Guards on the package as a whole: what importing it loads, and that
-model and path types are told apart by the model protocol, not by
-isinstance checks."""
+"""Guards on the package as a whole: what importing it loads, that model
+types are told apart by the model protocol, not by isinstance checks, and
+that scenarios reach every consumer by one route."""
 
 import ast
 import os
@@ -8,15 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import longrates
+from longrates import models
+
 SRC = Path(__file__).resolve().parents[1] / "src"
-MODEL_AND_PATH_CLASSES = {
-    "ConstantRate", "PoissonJump", "MarkovChain", "JumpPath", "LatticePath",
-}
-# the two guards that reject a wrong-typed public argument
-ALLOWED_GUARDS = {
-    ("models.py", "integrated_rate"),
-    ("longrate.py", "perron_long_rate"),
-}
+MODEL_CLASSES = {"ConstantRate", "PoissonJump", "MarkovChain"}
+# the one guard that rejects a wrong-typed public argument
+ALLOWED_GUARDS = {("longrate.py", "perron_long_rate")}
 
 
 def test_import_loads_neither_networkx_nor_scipy():
@@ -33,7 +31,7 @@ def test_import_loads_neither_networkx_nor_scipy():
 
 
 class _IsinstanceSites(ast.NodeVisitor):
-    """(file, enclosing function) of each isinstance naming a model or path class."""
+    """(file, enclosing function) of each isinstance naming a model class."""
 
     def __init__(self, filename: str) -> None:
         self.filename = filename
@@ -52,7 +50,7 @@ class _IsinstanceSites(ast.NodeVisitor):
                 for n in ast.walk(node.args[1])
                 if isinstance(n, (ast.Name, ast.Attribute))
             }
-            if named & MODEL_AND_PATH_CLASSES:
+            if named & MODEL_CLASSES:
                 self.sites.append((self.filename, self.scope[-1]))
         self.generic_visit(node)
 
@@ -65,3 +63,18 @@ def test_no_isinstance_dispatch_on_models_or_paths():
         sites += visitor.sites
     assert set(sites) <= ALLOWED_GUARDS, sites
     assert len(sites) == len(set(sites))
+
+
+def test_no_path_objects_are_exported():
+    for name in ("JumpPath", "LatticePath", "bank_account", "integrated_rate"):
+        assert not hasattr(longrates, name), name
+        assert name not in longrates.__all__
+
+
+def test_each_model_has_one_sampling_hook():
+    # simulate_paths -> _sample is the only way to scenarios
+    for name in sorted(MODEL_CLASSES):
+        members = vars(getattr(models, name))
+        assert "_sample" in members, name
+        for old in ("state_at", "_paths", "_states_at", "_mc_discounts"):
+            assert old not in members, (name, old)

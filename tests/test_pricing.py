@@ -13,7 +13,8 @@ from longrates.models import (
     Regime,
     STREAM_PRICING,
     TimeGrid,
-    bank_account,
+    _sample_jump_times,
+    path_rng,
     simulate_paths,
 )
 from longrates.pricing import (
@@ -167,14 +168,23 @@ class TestPriceMc:
         assert abs(mc.value - closed) <= 4 * mc.std_error
 
     def test_poisson_mc_equals_per_path_route(self):
-        # price_mc skips path objects for jump models; it must still return
-        # exactly the estimate of the simulated paths it stands for
+        # price_mc discounts whole scenario arrays; it must give exactly the
+        # estimate of the same paths drawn and integrated one by one
         state, t, T, n, seed = 0.25, 3.0, 8.0, 3000, 23
-        grid = TimeGrid(Regime.CONTINUOUS, T - t, output_step=T - t)
-        scen = simulate_paths(
-            POISSON.conditioned(state), grid, n, seed, stream=STREAM_PRICING
-        )
-        samples = np.array([math.exp(-p.integrated(0.0, T - t)) for p in scen.paths])
+        window = T - t
+        samples = []
+        for i in range(n):
+            rng = path_rng(seed, STREAM_PRICING, i)
+            jumps = _sample_jump_times(rng, POISSON.intensity, window)
+            before = int(np.sum(jumps <= 0.0))
+            level = before * window + float(np.sum(window - jumps[before:]))
+            samples.append(math.exp(-(state * window + POISSON.delta * level)))
+        # path by path first: a last-bit slip can vanish in the mean
+        grid = TimeGrid(Regime.CONTINUOUS, window, window)
+        scen = simulate_paths(POISSON.conditioned(state), grid, n, seed,
+                              stream=STREAM_PRICING)
+        assert scen.discounts(0.0, window).tolist() == samples
+        samples = np.array(samples)
         want = McEstimate(
             float(samples.mean()),
             float(samples.std(ddof=1) / math.sqrt(n)),
@@ -184,14 +194,24 @@ class TestPriceMc:
 
     @pytest.mark.parametrize("state,t,T", [(None, 0, 1), (2, 3, 9), (0, 0, 40)])
     def test_chain_mc_equals_per_path_route(self, state, t, T):
-        # the batch route discounts state rows directly; it must give the
-        # same floats as 1 / bank_account over the simulated paths
+        # price_mc discounts the state matrix row by row; it must give the
+        # same floats as paths stepped one by one by inverse CDF
         n, seed = 500, 13
+        cum = np.cumsum(CHAIN3.transition, axis=1)
+        samples = []
+        for i in range(n):
+            k = CHAIN3.conditioned(state).initial_state
+            growth = []
+            for u in path_rng(seed, STREAM_PRICING, i).random(T - t):
+                growth.append(1.0 + CHAIN3.state_rates[k])
+                nxt = int(np.searchsorted(cum[k], u, side="right"))
+                k = min(nxt, CHAIN3.n_states - 1)
+            samples.append(1.0 / np.prod(growth))
         grid = TimeGrid(Regime.DISCRETE, T - t)
-        scen = simulate_paths(
-            CHAIN3.conditioned(state), grid, n, seed, stream=STREAM_PRICING
-        )
-        samples = np.array([1.0 / bank_account(p, T - t) for p in scen.paths])
+        scen = simulate_paths(CHAIN3.conditioned(state), grid, n, seed,
+                              stream=STREAM_PRICING)
+        assert scen.discounts(0, T - t).tolist() == samples
+        samples = np.array(samples)
         want = McEstimate(
             float(samples.mean()),
             float(samples.std(ddof=1) / math.sqrt(n)),

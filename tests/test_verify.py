@@ -4,7 +4,7 @@ import pytest
 from longrates import pricing
 from longrates.longrate import ExtractionMethod, extract_long_rate, perron_long_rate
 from longrates.models import (
-    MarkovChain, PoissonJump, Regime, TimeGrid, simulate_paths,
+    STREAM_PATHS, MarkovChain, PoissonJump, Regime, _sample_jump_times, path_rng,
 )
 from longrates.pricing import build_curves
 from longrates.verify import (
@@ -25,14 +25,24 @@ CHAIN16 = MarkovChain(
 
 
 def per_path_reference(model, s, t, n_paths, seed, regime):
-    """x and residuals at s and t, path object by path object:
-    simulate_paths -> model.state_at -> build_curves -> extract_long_rate, with
-    each (time, state) curve built once."""
+    """x and residuals at s and t, path by path: the states at s and t of a
+    path drawn from its own path_rng -> build_curves -> extract_long_rate,
+    with each (time, state) curve built once."""
     taus = np.asarray(SCHEDULE, dtype=float)
-    continuous = regime is Regime.CONTINUOUS
-    horizon = t if continuous else int(t)
-    grid = TimeGrid(regime, horizon, float(t) if continuous else None)
-    scen = simulate_paths(model, grid, n_paths, seed)
+
+    def states(i):
+        rng = path_rng(seed, STREAM_PATHS, i)
+        if regime is Regime.CONTINUOUS:
+            jumps = _sample_jump_times(rng, model.intensity, float(t))
+            return [model.r0 + model.delta * int(np.sum(jumps <= u)) for u in (s, t)]
+        cum = np.cumsum(model.transition, axis=1)
+        path = [model.initial_state]
+        for u in rng.random(int(t)):
+            nxt = int(np.searchsorted(cum[path[-1]], u, side="right"))
+            path.append(min(nxt, model.n_states - 1))
+        return [path[int(s)], path[int(t)]]
+
+    per_path = [states(i) for i in range(n_paths)]
     cache = {}
 
     def estimate(obs, state):
@@ -42,8 +52,8 @@ def per_path_reference(model, s, t, n_paths, seed, regime):
         return cache[obs, state]
 
     out = []
-    for obs in (float(s), float(t)):
-        ests = [estimate(obs, model.state_at(path, obs)) for path in scen.paths]
+    for column, obs in enumerate((float(s), float(t))):
+        ests = [estimate(obs, both[column]) for both in per_path]
         out.append(np.array([e.value for e in ests]))
         out.append(np.array([e.residual for e in ests]))
     return out
@@ -204,6 +214,14 @@ class TestPoissonExample:
             run_poisson_example(0.05, -0.1, 0.5, 0.0, 5.0, 10, 0)
         with pytest.raises(ValueError, match="s < t"):
             run_poisson_example(0.05, 0.1, 0.5, 5.0, 5.0, 10, 0)
+
+    @pytest.mark.parametrize("n_continuations", [0, 1])
+    def test_spread_needs_two_continuations(self, n_continuations):
+        # the spread's standard error divides by n - 1
+        with pytest.raises(ValueError, match="n_continuations"):
+            run_poisson_example(
+                0.05, 0.1, 0.5, 0.0, 5.0, 10, 0, n_continuations=n_continuations
+            )
 
 
 class TestStandardFleet:
