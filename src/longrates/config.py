@@ -10,6 +10,7 @@ naming the offending section and field.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -90,8 +91,15 @@ def _number(sec, ctx, key, required=True, default=None) -> float | None:
     value = _field(sec, ctx, key, required, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{ctx}.{key} must be a number")
+    return _finite(value, f"{ctx}.{key} must be a finite number")
+
+
+def _finite(value, message: str) -> float:
+    """A JSON number as a float. NaN, Infinity, 1e999 (all read by json)
+    and integers past the float range fail the comparison."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(message)
     return float(value)
 
 
@@ -108,12 +116,8 @@ def _number_list(sec, ctx, key) -> list[float]:
     value = _field(sec, ctx, key)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{ctx}.{key} must be a non-empty list of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{ctx}.{key} must contain only numbers")
-        out.append(float(v))
-    return out
+    message = f"{ctx}.{key} must contain only finite numbers"
+    return [_finite(v, message) for v in value]
 
 
 def parse_model(doc: dict) -> ModelSpec:
@@ -159,12 +163,10 @@ def parse_grid(doc: dict) -> TimeGrid:
 
 def parse_times(doc: dict) -> dict[str, float]:
     sec = _section(doc, "times")
-    out = {}
-    for key, value in sec.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"times.{key} must be a number")
-        out[str(key)] = float(value)
-    return out
+    return {
+        str(key): _finite(value, f"times.{key} must be a finite number")
+        for key, value in sec.items()
+    }
 
 
 def require_time(times: dict[str, float], key: str) -> float:

@@ -69,36 +69,48 @@ def extract_long_rate(
     pairs = np.asarray(list(curve_values), dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("curve_values must be (tau, value) pairs")
-    if pairs.shape[0] < 4:
-        raise ValueError("need at least 4 points to extract a long rate")
     taus, values = pairs[:, 0], pairs[:, 1]
-    if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
-        raise ValueError("times to maturity must be positive and increasing")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("curve values must be finite")
-    if not math.isfinite(tol) or tol < 0:
-        raise ValueError("tol must be a non-negative number")
-
-    if method is ExtractionMethod.PLAIN_TAIL:
-        value = float(values[-1])
-        residual = float(abs(values[-1] - values[-2]))
-    elif method is ExtractionMethod.RECIPROCAL_EXTRAPOLATION:
-        half = pairs.shape[0] - pairs.shape[0] // 2
-        a_tail = _reciprocal_intercept(taus[-half:], values[-half:])
-        a_full = _reciprocal_intercept(taus, values)
-        value = a_tail
-        residual = abs(a_tail - a_full)
-    else:
-        raise ValueError("spectral extraction works on a chain, not curve values")
+    _check_schedule(taus, tol)
+    (value,), (residual,), (ok,) = _extract_table(taus, values[None], method, tol)
     return LongRateEstimate(
-        value, method, residual, float(taus[-1]), residual <= tol
+        float(value), method, float(residual), float(taus[-1]), bool(ok)
     )
 
 
-def _reciprocal_intercept(taus: np.ndarray, values: np.ndarray) -> float:
+def _check_schedule(taus: np.ndarray, tol: float) -> None:
+    """What every tail extraction needs: at least 4 increasing positive
+    times to maturity and a finite non-negative tol."""
+    if taus.size < 4 or np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
+        raise ValueError("maturity schedule must be >= 4 increasing positive times")
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError("tol must be a non-negative number")
+
+
+def _extract_table(
+    taus: np.ndarray, curves: np.ndarray, method: ExtractionMethod, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, residual and convergence per row of a table of curves over
+    `taus`, as `extract_long_rate` reads one; the caller checks taus and tol."""
+    if not np.all(np.isfinite(curves)):
+        raise ValueError("curve values must be finite")
+    if method is ExtractionMethod.PLAIN_TAIL:
+        value = curves[:, -1]
+        residual = np.abs(curves[:, -1] - curves[:, -2])
+    elif method is ExtractionMethod.RECIPROCAL_EXTRAPOLATION:
+        half = taus.size - taus.size // 2
+        value = _intercepts(taus[-half:], curves[:, -half:])
+        residual = np.abs(value - _intercepts(taus, curves))
+    else:
+        raise ValueError("spectral extraction works on a chain, not curve values")
+    return value, residual, residual <= tol
+
+
+def _intercepts(taus: np.ndarray, curves: np.ndarray) -> np.ndarray:
+    """Intercept a of the least-squares fit value ~ a + b / tau, per row."""
     design = np.column_stack([np.ones(taus.size), 1.0 / taus])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return float(coef[0])
+    # one right-hand side per solve: lstsq on many columns at once rounds
+    # differently in the last bit once a fit has 8 or more points
+    return np.array([np.linalg.lstsq(design, row, rcond=None)[0][0] for row in curves])
 
 
 def perron_long_rate(

@@ -137,7 +137,8 @@ class TimeGrid:
         n = int(math.floor(self.horizon / step + 1e-9))
         times = step * np.arange(n + 1)
         if times[-1] < self.horizon - 1e-12 * max(1.0, self.horizon):
-            times = np.append(times, self.horizon)
+            return np.append(times, self.horizon)
+        times[-1] = self.horizon  # n * step may round past it: 3 * 0.1 > 0.3
         return times
 
 

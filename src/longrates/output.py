@@ -18,7 +18,8 @@ __all__ = ["fmt_float", "write_csv", "dumps_json", "dump_json"]
 
 
 def fmt_float(x) -> str:
-    """Shortest representation that round-trips a float exactly."""
+    """Seventeen significant digits: enough to round-trip every float
+    exactly, though not always the shortest form (0.1 -> 0.10000000000000001)."""
     value = float(x)
     if not math.isfinite(value):
         raise ValueError("refusing to format a non-finite float")

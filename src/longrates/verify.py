@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .longrate import ExtractionMethod, extract_long_rate
+from .longrate import ExtractionMethod, _check_schedule, _extract_table
 from .models import (
     ConstantRate,
     MarkovChain,
@@ -23,11 +23,12 @@ from .models import (
     PoissonJump,
     Regime,
     STREAM_CONTINUATION,
+    ScenarioSet,
     _window_grid,
     path_rng,
     simulate_paths,
 )
-from .pricing import build_curves, price_closed_form, price_mc
+from .pricing import price_closed_form, price_mc
 
 __all__ = [
     "NonConvergenceError",
@@ -97,8 +98,8 @@ def monotonicity_violations(
     epsilon_multiplier: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices where x rises beyond tolerance, and the per-path tolerances."""
-    if epsilon_multiplier <= 0:
-        raise ValueError("epsilon_multiplier must be positive")
+    if not (math.isfinite(epsilon_multiplier) and epsilon_multiplier > 0):
+        raise ValueError("epsilon_multiplier must be positive and finite")
     scale = np.maximum(1.0, np.maximum(np.abs(x_s), np.abs(x_t)))
     epsilon = epsilon_multiplier * (residual_s + residual_t) + _EPS_FLOOR * scale
     rise = x_t - x_s
@@ -124,74 +125,73 @@ def verify_dir(
     The maturity schedule lists times to maturity appended to each
     observation time. Conditioning on the information at s and t uses the
     Markov state there, read off the scenarios of `simulate_paths`.
-    Every model is time-homogeneous, so one table of log prices over the
-    schedule, one row per distinct state at either time, serves both
-    observation times; each distinct state is extracted once per time and
-    shared by all paths in it. Extractions that fail to stabilize on more
-    than 1% of paths abort with NonConvergenceError.
+    Extractions that fail to stabilize on more than 1% of paths abort with
+    NonConvergenceError.
     """
+    taus = _check_window(model, s, t, maturity_schedule, regime, tol)
+    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
+    return _certify(
+        model, scenarios, s, t, taus, method, epsilon_multiplier, tol, model_id
+    )
+
+
+def _check_window(
+    model: ModelSpec, s, t, maturity_schedule, regime: Regime, tol: float
+) -> np.ndarray:
+    """The schedule as an array, once the window and settings are valid."""
     model.require_regime(regime)
     if not 0 <= s < t < math.inf:
         raise ValueError("need 0 <= s < t < inf")
     taus = np.asarray(maturity_schedule, dtype=float)
-    if taus.size < 4 or np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
-        raise ValueError("maturity schedule must be >= 4 increasing positive times")
+    _check_schedule(taus, tol)
     if regime is Regime.DISCRETE:
         if float(s) != int(s) or float(t) != int(t):
             raise ValueError("discrete observation times must be integers")
         if np.any(taus != np.round(taus)):
             raise ValueError("discrete maturity schedule must be integers")
+    return taus
 
-    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
-    states = scenarios.states_at((s, t))
-    distinct, inverse = np.unique(states, return_inverse=True)
-    inverse = inverse.reshape(states.shape)
+
+def _certify(
+    model: ModelSpec, scenarios: ScenarioSet, s: float, t: float,
+    taus: np.ndarray, method: ExtractionMethod, epsilon_multiplier: float,
+    tol: float, model_id: str | None,
+) -> MonotonicityReport:
+    """The certificate of `verify_dir` on scenarios that reach t.
+
+    Every model is time-homogeneous, so one table of log prices over the
+    schedule, one row per distinct state at either time, serves both
+    observation times: its curves at s and at t go through one extraction,
+    and every path reads its states' rows.
+    """
+    distinct, inverse = np.unique(scenarios.states_at((s, t)), return_inverse=True)
     # log P(obs, obs + tau) from a state depends on tau only
-    table = model.log_price_table(distinct, 0, taus, regime)
-
-    def estimate(column: int, obs: float) -> tuple[np.ndarray, ...]:
-        """Value, residual and convergence per path at obs."""
-        rows, per_path = np.unique(inverse[:, column], return_inverse=True)
-        curves = np.exp(table[rows] / (obs + taus))
-        ests = [
-            extract_long_rate(np.column_stack([taus, x]), method, tol) for x in curves
-        ]
-        return tuple(
-            np.array([getattr(e, name) for e in ests])[per_path]
-            for name in ("value", "residual", "converged")
-        )
-
-    x_s, res_s, conv_s = estimate(0, float(s))
-    x_t, res_t, conv_t = estimate(1, float(t))
-    n_nonconv = int(n_paths - conv_s.sum() + n_paths - conv_t.sum())
-    if n_nonconv > 0.01 * (2 * n_paths):
-        worst = max(res_s.max(), res_t.max())
+    table = model.log_price_table(distinct, 0, taus, scenarios.grid.regime)
+    curves = np.concatenate([np.exp(table / (float(u) + taus)) for u in (s, t)])
+    rows = (inverse.reshape(-1, 2) + [0, distinct.size]).T
+    # one row per time, one column per path
+    x, residual, converged = (
+        a[rows] for a in _extract_table(taus, curves, method, tol)
+    )
+    n_nonconv = int(converged.size - converged.sum())
+    if n_nonconv > 0.01 * converged.size:
         raise NonConvergenceError(
-            f"{n_nonconv} of {2 * n_paths} extractions exceeded tol={tol:g} "
-            f"(worst residual {worst:.3e}); extend the maturity schedule"
+            f"{n_nonconv} of {converged.size} extractions exceeded tol={tol:g} "
+            f"(worst residual {residual.max():.3e}); extend the maturity schedule"
         )
 
+    (x_s, x_t), (res_s, res_t) = x, residual
     violations, epsilon = monotonicity_violations(
         x_s, x_t, res_s, res_t, epsilon_multiplier
     )
-    change = x_t - x_s
-    qs = np.quantile(change, [0.0, 0.25, 0.5, 0.75, 1.0])
-    quantiles = {
-        "min": float(qs[0]),
-        "q25": float(qs[1]),
-        "median": float(qs[2]),
-        "q75": float(qs[3]),
-        "max": float(qs[4]),
-    }
+    qs = np.quantile(x_t - x_s, [0.0, 0.25, 0.5, 0.75, 1.0])
+    quantiles = dict(zip(("min", "q25", "median", "q75", "max"), map(float, qs)))
 
-    spectral_value = None
-    spectral_gap = None
+    spectral_value = spectral_gap = None
     spectral = model._spectral()
     if spectral is not None:
         spectral_value = spectral.value
-        spectral_gap = float(
-            max(np.abs(x_s - spectral.value).max(), np.abs(x_t - spectral.value).max())
-        )
+        spectral_gap = float(np.abs(x - spectral.value).max())
 
     return MonotonicityReport(
         model_id=model_id if model_id is not None else model.label,
@@ -284,16 +284,12 @@ def run_poisson_example(
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
-    if not 0 <= s < t:
-        raise ValueError("need 0 <= s < t")
     if n_continuations < 2:
         raise ValueError("n_continuations must be at least 2")
-    model: ModelSpec
-    if delta == 0.0:
-        model = ConstantRate(r0)
-    else:
-        model = PoissonJump(r0, delta, intensity)
+    model = ConstantRate(r0) if delta == 0.0 else PoissonJump(r0, delta, intensity)
     regime = Regime.CONTINUOUS
+    taus = _check_window(model, s, t, maturity_schedule, regime, tol)
+    reciprocal = ExtractionMethod.RECIPROCAL_EXTRAPOLATION
 
     pricing = []
     for T in mc_maturities:
@@ -303,35 +299,22 @@ def run_poisson_example(
             float(T), closed, mc.value, mc.std_error, mc.z_score(closed)
         ))
 
-    taus = np.asarray(maturity_schedule, dtype=float)
-    monotonicity = verify_dir(
-        model, s, t, taus, n_paths, seed, regime,
-        method=ExtractionMethod.RECIPROCAL_EXTRAPOLATION,
-        epsilon_multiplier=epsilon_multiplier,
-        tol=tol,
+    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
+    monotonicity = _certify(
+        model, scenarios, s, t, taus, reciprocal, epsilon_multiplier, tol, None
     )
 
-    # long-zero identity at t, one extraction per distinct state
-    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
-    states = scenarios.states_at((t,))
-    gap_max = 0.0
-    bound_max = 0.0
-    identity_ok = True
-    for state in np.unique(states).tolist():
-        _, rates = build_curves(model, state, float(t), float(t) + taus, regime)
-        est = extract_long_rate(
-            np.column_stack([taus, rates.zero]),
-            ExtractionMethod.RECIPROCAL_EXTRAPOLATION,
-            tol,
-        )
-        rate_now = model.rate_of(state)
-        target = rate_now + intensity if delta > 0 else rate_now
-        gap = abs(est.value - target)
-        bound = epsilon_multiplier * est.residual + _EPS_FLOOR * max(1.0, abs(est.value))
-        gap_max = max(gap_max, gap)
-        bound_max = max(bound_max, bound)
-        if gap > bound:
-            identity_ok = False
+    # long-zero identity at t, one row per distinct state; continuous-time
+    # states are the short rates themselves
+    t = float(t)
+    states_t = np.unique(scenarios.states_at((t,)))
+    log_prices = model.log_price_table(states_t, t, t + taus, regime)
+    z_long, z_res, _ = _extract_table(
+        taus, -log_prices / ((t + taus) - t), reciprocal, tol
+    )
+    target = states_t + intensity if delta > 0 else states_t
+    gap = np.abs(z_long - target)
+    bound = epsilon_multiplier * z_res + _EPS_FLOOR * np.maximum(1.0, np.abs(z_long))
 
     # spread of the time-t long rate seen from s, via exact count draws
     window = float(t - s)
@@ -359,9 +342,9 @@ def run_poisson_example(
         s=float(s),
         t=float(t),
         pricing=tuple(pricing),
-        long_zero_gap_max=float(gap_max),
-        long_zero_bound_max=float(bound_max),
-        long_zero_identity_ok=identity_ok,
+        long_zero_gap_max=float(gap.max()),
+        long_zero_bound_max=float(bound.max()),
+        long_zero_identity_ok=not np.any(gap > bound),
         monotonicity=monotonicity,
         spread=spread,
     )

@@ -252,6 +252,29 @@ class TestErrorHandling:
         bad.write_text(json.dumps(doc))
         assert run_cli("simulate", "--config", bad, "--out", tmp_path) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command,config,section,key,value,result", [
+        ("verify-measure", "poisson.json", "tolerances", "k_sigma", "NaN",
+         "measure.csv"),
+        ("lemma-lab", "four_atoms.json", "tolerances", "tol", "NaN", "trace.csv"),
+        ("price", "constant.json", "times", "T", "Infinity", "price.csv"),
+        ("curve", "poisson.json", "times", "t", "-Infinity", "curve.csv"),
+        ("verify-dir", "poisson.json", "schedule", "taus",
+         "[125, 250, NaN, 1000]", "report.csv"),
+    ])
+    def test_non_finite_numbers_are_config_errors(
+        self, tmp_path, capsys, command, config, section, key, value, result
+    ):
+        # json reads NaN and Infinity; each must name its field before any work
+        doc = json.loads((CONFIGS / config).read_text())
+        doc[section][key] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"@"', value))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", bad, "--out", out) == EXIT_USAGE
+        assert f"config error: {section}.{key} must" in capsys.readouterr().err
+        assert not (out / result).exists()
+        assert not (out / "summary.json").exists()
+
     def test_negative_seed_override(self, tmp_path):
         code = run_cli("simulate", "--config", CONFIGS / "markov2.json",
                        "--out", tmp_path, "--seed", "-3")

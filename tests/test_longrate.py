@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from longrates.longrate import (
     ExtractionMethod,
+    _extract_table,
     extract_long_rate,
     forward_zero_gap,
     long_zero_from_x,
@@ -92,6 +93,28 @@ class TestExtraction:
         taus = np.array([125.0, 250.0, 500.0, 1000.0])
         est = extract_long_rate(pairs(taus, a + b / taus))
         assert abs(est.value - a) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+class TestExtractTable:
+    @pytest.mark.parametrize("method", [
+        ExtractionMethod.PLAIN_TAIL, ExtractionMethod.RECIPROCAL_EXTRAPOLATION,
+    ])
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_equals_extract_long_rate_row_by_row(self, method, n):
+        rng = np.random.default_rng(n)
+        taus = np.cumsum(rng.uniform(0.5, 400.0, n))
+        curves = rng.normal(0.9, 0.1, (40, n)) + rng.normal(0.0, 3.0, (40, 1)) / taus
+        curves[::5] = rng.normal(size=(8, 1))  # flat rows
+        value, residual, converged = _extract_table(taus, curves, method, 1e-4)
+        for k, row in enumerate(curves):
+            est = extract_long_rate(pairs(taus, row), method, 1e-4)
+            assert value[k] == est.value
+            assert residual[k] == est.residual
+            assert converged[k] == est.converged
+        if method is ExtractionMethod.PLAIN_TAIL:
+            assert np.all(residual[::5] == 0.0)
+        else:
+            assert np.all(residual[::5] <= 1e-14 * np.abs(curves[::5, 0]))
 
 
 class TestPerron:

@@ -67,6 +67,16 @@ class TestTimeGrid:
         times = TimeGrid(Regime.CONTINUOUS, 1.3, 0.5).reporting_times()
         assert times[-1] == 1.3
 
+    @pytest.mark.parametrize("horizon,step", [(0.3, 0.1), (0.7, 0.1), (1.0, 0.1)])
+    def test_last_step_ends_at_the_horizon(self, horizon, step):
+        # 3 * 0.1 rounds past 0.3, which states_at rejects as outside the grid
+        grid = TimeGrid(Regime.CONTINUOUS, horizon, step)
+        times = grid.reporting_times()
+        assert times[-1] == horizon
+        assert times.size == round(horizon / step) + 1
+        scen = simulate_paths(PoissonJump(0.05, 0.1, 0.5), grid, 3, 0)
+        assert scen.rates_at(times).shape == (3, times.size)
+
     @pytest.mark.parametrize(
         "args",
         [

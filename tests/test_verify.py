@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from longrates import pricing
+from longrates import pricing, verify
 from longrates.longrate import ExtractionMethod, extract_long_rate, perron_long_rate
 from longrates.models import (
-    STREAM_PATHS, MarkovChain, PoissonJump, Regime, _sample_jump_times, path_rng,
+    STREAM_PATHS, ConstantRate, MarkovChain, PoissonJump, Regime, TimeGrid,
+    _sample_jump_times, path_rng, simulate_paths,
 )
 from longrates.pricing import build_curves
 from longrates.verify import (
@@ -88,6 +91,16 @@ class TestViolationRule:
             monotonicity_violations(
                 np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0.0
             )
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf])
+    def test_multiplier_must_be_finite(self, multiplier):
+        # NaN compares false with every rise, so it would pass any path
+        x_s, x_t, zeros = np.array([0.9]), np.array([0.95]), np.zeros(1)
+        with pytest.raises(ValueError, match="finite"):
+            monotonicity_violations(x_s, x_t, zeros, zeros, multiplier)
+        with pytest.raises(ValueError, match="finite"):
+            verify_dir(SYM2, 0, 1, (62, 125, 250, 500), 20, 1, Regime.DISCRETE,
+                       epsilon_multiplier=multiplier)
 
 
 class TestVerifyDir:
@@ -208,6 +221,49 @@ class TestPoissonExample:
         assert report.spread.z_score == 0.0
         assert report.monotonicity.passed
         assert report.pricing[0].z_score == 0.0
+
+    def test_samples_the_scenarios_once(self, monkeypatch):
+        calls = []
+        real = verify.simulate_paths
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "simulate_paths", counted)
+        run_poisson_example(
+            0.05, 0.1, 0.5, 0.0, 5.0, 100, 11,
+            mc_maturities=(1.0,), n_mc=100, n_continuations=100,
+        )
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("delta", [0.1, 0.0])
+    def test_long_zero_identity_equals_the_per_state_reference(self, delta):
+        """Per distinct time-t state: build_curves -> extract_long_rate on
+        the zero curve, against the current rate plus the intensity."""
+        s, t, n_paths, seed = 0.7, 2.9, 300, 4
+        report = run_poisson_example(
+            0.05, delta, 0.5, s, t, n_paths, seed,
+            mc_maturities=(1.0,), n_mc=100, n_continuations=100,
+        )
+        model = PoissonJump(0.05, delta, 0.5) if delta > 0 else ConstantRate(0.05)
+        grid = TimeGrid(Regime.CONTINUOUS, t, t)
+        states = simulate_paths(model, grid, n_paths, seed).states_at((t,))
+        taus = np.asarray(SCHEDULE, dtype=float)
+        gaps, bounds = [], []
+        for state in np.unique(states).tolist():
+            _, rates = build_curves(model, state, t, t + taus, Regime.CONTINUOUS)
+            est = extract_long_rate(np.column_stack([taus, rates.zero]))
+            rate_now = model.rate_of(state)
+            target = rate_now + 0.5 if delta > 0 else rate_now
+            gaps.append(abs(est.value - target))
+            floor = 64.0 * np.finfo(float).eps * max(1.0, abs(est.value))
+            bounds.append(3.0 * est.residual + floor)
+        assert report.long_zero_gap_max == max(gaps)
+        assert report.long_zero_bound_max == max(bounds)
+        assert report.long_zero_identity_ok == all(
+            g <= b for g, b in zip(gaps, bounds)
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
