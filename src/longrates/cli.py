@@ -213,7 +213,7 @@ def _cmd_long_rate(args, doc) -> int:
     model = cfg.parse_model(doc)
     grid = cfg.parse_grid(doc)
     t = cfg.require_time(cfg.parse_times(doc), "t")
-    taus, quantity = cfg.parse_schedule(doc, grid.regime)
+    taus, quantity = cfg.parse_schedule(doc, grid.regime, extract=True)
     tolerances = cfg.parse_tolerances(doc)
     method = tolerances["method"]
     if args.method is not None:
@@ -305,7 +305,7 @@ def _cmd_verify_dir(args, doc) -> int:
     times = cfg.parse_times(doc)
     s = cfg.require_time(times, "s")
     t = cfg.require_time(times, "t")
-    taus, _ = cfg.parse_schedule(doc, grid.regime)
+    taus, _ = cfg.parse_schedule(doc, grid.regime, extract=True)
     n_paths, seed = _mc_params(args, doc)
     tolerances = cfg.parse_tolerances(doc)
     report = verify_dir(

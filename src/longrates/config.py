@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .finiteprob import FiniteProbSpace, Partition, Rv
-from .longrate import ExtractionMethod
+from .longrate import _MIN_TAUS, ExtractionMethod
 from .models import (
     ConstantRate,
     MarkovChain,
@@ -175,10 +175,21 @@ def require_time(times: dict[str, float], key: str) -> float:
     return times[key]
 
 
-def parse_schedule(doc: dict, regime: Regime) -> tuple[np.ndarray, str]:
-    """Times to maturity plus the curve quantity they index ('x' or 'zero')."""
+def parse_schedule(
+    doc: dict, regime: Regime, *, extract: bool = False
+) -> tuple[np.ndarray, str]:
+    """Times to maturity plus the curve quantity they index ('x' or 'zero').
+
+    A schedule that a long rate is extracted from (extract=True) needs at
+    least 4 maturities.
+    """
     sec = _section(doc, "schedule")
     taus = np.asarray(_number_list(sec, "schedule", "taus"), dtype=float)
+    if extract and taus.size < _MIN_TAUS:
+        raise ConfigError(
+            f"schedule.taus needs at least {_MIN_TAUS} maturities to extract "
+            "a long rate"
+        )
     if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
         raise ConfigError("schedule.taus must be positive and strictly increasing")
     if regime is Regime.DISCRETE and np.any(taus != np.round(taus)):

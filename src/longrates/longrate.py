@@ -77,10 +77,14 @@ def extract_long_rate(
     )
 
 
+# times to maturity that a tail extraction needs at least
+_MIN_TAUS = 4
+
+
 def _check_schedule(taus: np.ndarray, tol: float) -> None:
-    """What every tail extraction needs: at least 4 increasing positive
-    times to maturity and a finite non-negative tol."""
-    if taus.size < 4 or np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
+    """What every tail extraction needs: at least `_MIN_TAUS` increasing
+    positive times to maturity and a finite non-negative tol."""
+    if taus.size < _MIN_TAUS or np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
         raise ValueError("maturity schedule must be >= 4 increasing positive times")
     if not math.isfinite(tol) or tol < 0:
         raise ValueError("tol must be a non-negative number")

@@ -36,9 +36,13 @@ constant model. None always means the initial state.
 Per-path randomness is keyed by ``(seed, stream, path_index)`` through the
 counter-based Philox generator. A scenario set is therefore a pure function
 of its arguments: re-running with the same seed reproduces it bit for bit,
-independent of execution order. Paths are drawn in batches: one generator is
-re-keyed per path, chain steps advance every path at once, and jump paths
-write their jump times into one shared vector.
+independent of execution order. No generator is built per path: one numpy
+pass of Philox4x64-10 draws a block of four uniforms for every path at
+once, exactly the numbers ``path_rng(seed, stream, i).random()`` gives.
+Chain steps take one uniform each and advance every path at once. A jump
+path takes its Poisson jump count from its first uniform, by inverse CDF,
+and its jump times from the next ones, sorted and scaled to the horizon;
+only paths with more jumps draw further blocks.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -68,6 +72,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _ROW_SUM_TOL = 1e-12
+# float entries that one pass of the jump sampler or of continuous
+# discounts may hold in temporary arrays
+_CELLS = 1 << 17
 
 # Stream tags keep generators drawn for different purposes out of each
 # other's key space even when they share a user seed.
@@ -86,8 +93,11 @@ class Regime(Enum):
 def path_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Counter-based generator for one path: key = (seed ^ stream, index).
 
-    `_keyed_streams` reproduces these streams by re-keying a single
-    generator per path, so both routes draw identical numbers.
+    This is the reference for every scenario: `_uniforms` computes the
+    same Philox stream for many paths at once, so row i of a scenario set
+    holds what this generator draws. A chain path uses one uniform per
+    step; a jump path uses ``random(1 + N)``, its first uniform for the
+    count N and the other N, sorted, for its jump times.
     """
     _check_seed(seed)
     key = np.array(
@@ -262,20 +272,45 @@ class PoissonJump(_Model):
         return -rates * tau - lam * tau - lam * decay / delta
 
     def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
+        """Path i draws ``u = path_rng(seed, stream, i).random(1 + N_i)``:
+        u[0] gives its jump count N_i ~ Poisson(intensity * horizon) by
+        inverse CDF (`_poisson_cdf`), and its jump times are
+        ``horizon * sort(u[1:])``, as N_i jumps of a Poisson process fall
+        like N_i sorted uniforms. Every path draws the first block of four
+        uniforms; a later block is drawn only for the paths whose count
+        reaches into it."""
         horizon = float(grid.horizon)
+        mean = self.intensity * horizon
+        cdf = _poisson_cdf(mean)
+        # no count exceeds the table's end, so a pass's (paths, draws)
+        # matrix stays within _CELLS entries
+        rows = max(1, _CELLS // (cdf.size + 4))
         offsets = np.zeros(n + 1, dtype=np.int64)
-        # one flat buffer, doubled when full, so no per-path array is kept
-        flat = np.empty(int(n * self.intensity * horizon) + 16)
+        # one flat buffer, grown only past ten standard deviations
+        flat = np.empty(int(n * mean + 10.0 * math.sqrt(n * mean)) + 16)
         end = 0
-        for i, rng in enumerate(_keyed_streams(n, seed, stream)):
-            times = _sample_jump_times(rng, self.intensity, horizon)
-            if end + times.size > flat.size:
-                flat = np.concatenate([flat, np.empty(flat.size + times.size)])
-            flat[end : end + times.size] = times
-            end += times.size
-            offsets[i + 1] = end
+        for lo in range(0, n, rows):
+            index = np.arange(lo, min(n, lo + rows))
+            first = _uniforms(seed, stream, index, 4)
+            counts = cdf.searchsorted(first[:, 0], side="right")
+            np.minimum(counts, cdf.size - 1, out=counts)
+            u = np.empty((index.size, 4 * (int(counts.max()) // 4 + 1)))
+            u[:, :4] = first
+            for col in range(4, u.shape[1], 4):
+                need = np.flatnonzero(counts >= col)
+                u[need, col : col + 4] = _uniforms(seed, stream, index[need], 4, col)
+            jumps = u[:, 1:]
+            used = np.arange(jumps.shape[1]) < counts[:, None]
+            jumps[~used] = np.inf  # unused draws sort last
+            jumps.sort(axis=1)
+            total = int(counts.sum())
+            if end + total > flat.size:
+                flat = np.concatenate([flat[:end], np.empty(flat.size + total)])
+            np.multiply(horizon, jumps[used], out=flat[end : end + total])
+            offsets[lo + 1 : lo + 1 + index.size] = end + np.cumsum(counts)
+            end += total
         return ScenarioSet(
-            grid, level=self.r0, jump=self.delta, jump_times=flat[:end].copy(),
+            grid, level=self.r0, jump=self.delta, jump_times=flat[:end],
             offsets=offsets,
         )
 
@@ -383,16 +418,17 @@ class MarkovChain(_Model):
         uniforms ``rng.random(n_steps)`` pick each next state by inverse CDF
         from the current state's cumulative transition row. Each step
         advances every path at once, with one ``searchsorted`` per occupied
-        state, so no temporary grows with n_paths times n_states."""
+        state, and uniforms are drawn four steps at a time, so no temporary
+        grows with n_paths times n_states or n_steps."""
         n_steps = int(grid.horizon)
-        draws = np.empty((n, n_steps))
-        for row, rng in zip(draws, _keyed_streams(n, seed, stream)):
-            rng.random(out=row)
+        index = np.arange(n)
         cum = np.cumsum(self.transition, axis=1)
         states = np.empty((n, n_steps + 1), dtype=np.int64)
         states[:, 0] = self.initial_state
         for k in range(n_steps):
-            now, nxt, u = states[:, k], states[:, k + 1], draws[:, k]
+            if k % 4 == 0:  # the next four uniforms of every path
+                draws = _uniforms(seed, stream, index, 4, k)
+            now, nxt, u = states[:, k], states[:, k + 1], draws[:, k % 4]
             for i in np.unique(now):
                 rows = now == i
                 nxt[rows] = cum[i].searchsorted(u[rows], side="right")
@@ -518,29 +554,58 @@ class ScenarioSet:
         s, t = float(s), float(t)
         if not 0 <= s <= t <= self.grid.horizon:
             raise ValueError("need 0 <= s <= t <= horizon")
-        before, upto = self._jump_counts((s, t)).T
-        gaps = t - self.jump_times
-        first = self.offsets[:-1]
-        # one ndarray.sum per path, the float a lone path's integral gets;
-        # np.add.reduceat over all paths rounds differently
-        inside = np.fromiter(
-            (gaps[a:b].sum() for a, b in zip(first + before, first + upto)),
-            float, count=self.n_paths,
-        )
-        integrals = self.level * (t - s) + self.jump * (before * (t - s) + inside)
-        # math.exp, as np.exp can differ from it in the last bit
-        return np.fromiter((math.exp(-x) for x in integrals), float, count=self.n_paths)
+        out = np.empty(self.n_paths)
+        # a block's temporaries, some 16 entries a path and 4 a jump time,
+        # stay within _CELLS entries
+        n, m = self.n_paths, self.jump_times.size
+        rows = 1 + _CELLS * n // (16 * n + 4 * m)
+        for lo in range(0, n, rows):
+            bounds = self.offsets[lo : lo + rows + 1]
+            times = self.jump_times[bounds[0] : bounds[-1]]
+            bounds = bounds - bounds[0]
+            before, upto = (_jumps_upto(times, bounds, u) for u in (s, t))
+            start, size = bounds[:-1] + before, upto - before
+            # a path's integral holds the sum of t - u over its jumps u in
+            # (s, t], rounded as one ndarray.sum of them rounds it. Paths
+            # with as many jumps in the window stack into one matrix, and
+            # its row sums run numpy's pairwise loop on each row as that
+            # sum does; np.add.reduceat adds in order and rounds otherwise
+            gaps = t - times
+            inside = np.zeros(size.size)
+            for length in np.unique(size[size > 0]).tolist():
+                paths = np.flatnonzero(size == length)
+                inside[paths] = gaps[start[paths, None] + np.arange(length)].sum(axis=1)
+            # level * (t - s) + jump * (before * (t - s) + inside), in place
+            integrals = before * (t - s)
+            integrals += inside
+            integrals *= self.jump
+            integrals += self.level * (t - s)
+            # math.exp, as np.exp can differ from it in the last bit
+            out[lo : lo + rows] = np.fromiter(
+                map(math.exp, np.negative(integrals, out=integrals)), float,
+                count=integrals.size,
+            )
+        return out
 
     def _jump_counts(self, times) -> np.ndarray:
         """Each path's number of jumps at or before each time."""
         u = np.asarray(times, dtype=float)
         if np.any(u < 0) or np.any(u > self.grid.horizon):
             raise ValueError("time outside [0, horizon]")
-        n = self.n_paths
-        path = np.repeat(np.arange(n), np.diff(self.offsets))
         return np.column_stack(
-            [np.bincount(path[self.jump_times <= v], minlength=n) for v in u]
+            [_jumps_upto(self.jump_times, self.offsets, v) for v in u]
         )
+
+
+def _jumps_upto(times: np.ndarray, bounds: np.ndarray, u: float) -> np.ndarray:
+    """Each path's number of jumps at or before u, path i's sorted jump
+    times being ``times[bounds[i]:bounds[i + 1]]``."""
+    counts = np.zeros(bounds.size - 1, dtype=np.int64)
+    # a path without jumps would read the next path's first jump
+    busy = np.flatnonzero(np.diff(bounds) > 0)
+    if busy.size:
+        counts[busy] = np.add.reduceat(times <= u, bounds[busy], dtype=np.int64)
+    return counts
 
 
 def simulate_paths(
@@ -559,38 +624,80 @@ def simulate_paths(
     return model._sample(grid, n_paths, int(seed), stream)
 
 
-def _sample_jump_times(
-    rng: np.random.Generator, intensity: float, horizon: float
-) -> np.ndarray:
-    """Exact Poisson jump times on [0, horizon] via exponential gaps."""
-    mean_count = intensity * horizon
-    block = int(mean_count + 10.0 * math.sqrt(mean_count) + 16.0)
-    # ndarray methods rather than np.* wrappers: this runs once per path
-    times = rng.exponential(1.0 / intensity, size=block).cumsum()
-    while times[-1] <= horizon:
-        more = rng.exponential(1.0 / intensity, size=block).cumsum()
-        times = np.concatenate([times, times[-1] + more])
-    # cumulative sums of non-negative gaps are sorted: keep a prefix
-    return times[: times.searchsorted(horizon, side="right")].copy()
+def _poisson_cdf(mean: float) -> np.ndarray:
+    """P(N <= k) for N ~ Poisson(mean), k = 0 .. K.
 
-
-def _keyed_streams(n: int, seed: int, stream: int) -> Iterator[np.random.Generator]:
-    """Generators that draw as ``path_rng(seed, stream, i)`` for i = 0..n-1.
-
-    Rather than building a generator per path, one Philox generator is reset
-    to the state a freshly keyed one starts in (key ``(seed ^ stream, i)``,
-    zero counter, empty buffer), which costs a fraction of the construction.
-    Each yielded generator is the same object, valid until the next is drawn.
+    Each term comes from log space (`math.lgamma`), so the table does not
+    collapse to 0 where exp(-mean) underflows (mean above ~745). It stops at
+    K = mean + 12 sqrt(mean) + 40: by the Chernoff bound the mass beyond K
+    is below e^-60, far under the 2^-53 step of a uniform, and the rare
+    uniform above the last entry, which rounding can leave below 1, counts
+    K jumps.
     """
-    key = np.array([(int(seed) ^ int(stream)) & _MASK64, 0], dtype=np.uint64)
-    bit_gen = np.random.Philox(key=key)
-    fresh = bit_gen.state  # a copy; only its key's path index changes below
-    rng = np.random.Generator(bit_gen)
+    top = int(mean + 12.0 * math.sqrt(mean) + 40.0)
+    log_mean = math.log(mean)
+    log_pmf = [k * log_mean - mean - math.lgamma(k + 1.0) for k in range(top + 1)]
+    return np.cumsum(np.exp(log_pmf))
 
-    def rekey() -> Iterator[np.random.Generator]:
-        for index in range(n):
-            fresh["state"]["key"][1] = index
-            bit_gen.state = fresh
-            yield rng
 
-    return rekey()
+# Philox4x64-10 (Salmon et al., SC 2011), the bit generator of `path_rng`:
+# its multipliers and key increments, as columns for the two lanes that
+# each round multiplies
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# paths per Philox pass: enough to amortise each numpy call, few enough
+# that the pass's dozen (2, paths) temporaries stay small
+_CHUNK = 1 << 11
+
+
+def _mulhi(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products x * m, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    mid = x_lo * m_hi + ((x_lo * m_lo) >> _SHIFT32)
+    carry = x_hi * m_lo + (mid & _LOW32)
+    return x_hi * m_hi + (mid >> _SHIFT32) + (carry >> _SHIFT32)
+
+
+def _philox(key: int, index: np.ndarray, block: int) -> tuple:
+    """The four words of Philox4x64-10 on counter (block, 0, 0, 0) under
+    the keys (key, index[j]), one array per word.
+
+    A round maps the words (x0, x1, x2, x3) under the keys (k0, k1) to
+    (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)); here
+    the rows of `mul` hold (x0, x2) and those of `xor` hold (x1, x3).
+    """
+    keys = np.empty((2, index.size), dtype=np.uint64)
+    keys[0], keys[1] = key, index
+    mul = np.zeros((2, index.size), dtype=np.uint64)
+    mul[0] = block
+    xor = np.zeros_like(mul)
+    for r in range(10):
+        if r:
+            keys += _PHILOX_W
+        mul, xor = _mulhi(mul, _PHILOX_M)[::-1] ^ xor ^ keys, (mul * _PHILOX_M)[::-1]
+    return mul[0], xor[0], mul[1], xor[1]
+
+
+def _uniforms(seed: int, stream: int, index, k: int, first: int = 0) -> np.ndarray:
+    """Uniforms first .. first + k - 1 of each path's stream, one row per
+    path index: row i of ``_uniforms(seed, stream, index, k)`` is
+    ``path_rng(seed, stream, index[i]).random(k)``. first is a multiple of 4.
+
+    A fresh Philox generator fills its four-word buffer from counter
+    (1, 0, 0, 0), then (2, 0, 0, 0), and so on, and a uniform is
+    (word >> 11) * 2**-53. Here each counter block runs for every path at
+    once, in passes of `_CHUNK` paths.
+    """
+    index = np.asarray(index, dtype=np.uint64)
+    key = (int(seed) ^ int(stream)) & _MASK64
+    blocks = range(first // 4 + 1, -(-(first + k) // 4) + 1)
+    out = np.empty((index.size, 4 * len(blocks)))
+    for lo in range(0, index.size, _CHUNK):
+        rows = out[lo : lo + _CHUNK].reshape(-1, len(blocks), 4)
+        for j, block in enumerate(blocks):
+            for lane, word in enumerate(_philox(key, index[lo : lo + _CHUNK], block)):
+                rows[:, j, lane] = (word >> np.uint64(11)) * 2.0**-53
+    return out[:, :k]

@@ -98,8 +98,7 @@ def monotonicity_violations(
     epsilon_multiplier: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices where x rises beyond tolerance, and the per-path tolerances."""
-    if not (math.isfinite(epsilon_multiplier) and epsilon_multiplier > 0):
-        raise ValueError("epsilon_multiplier must be positive and finite")
+    _check_multiplier(epsilon_multiplier)
     scale = np.maximum(1.0, np.maximum(np.abs(x_s), np.abs(x_t)))
     epsilon = epsilon_multiplier * (residual_s + residual_t) + _EPS_FLOOR * scale
     rise = x_t - x_s
@@ -128,17 +127,27 @@ def verify_dir(
     Extractions that fail to stabilize on more than 1% of paths abort with
     NonConvergenceError.
     """
-    taus = _check_window(model, s, t, maturity_schedule, regime, tol)
+    taus = _check_window(
+        model, s, t, maturity_schedule, regime, tol, epsilon_multiplier
+    )
     scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
     return _certify(
         model, scenarios, s, t, taus, method, epsilon_multiplier, tol, model_id
     )
 
 
+def _check_multiplier(epsilon_multiplier: float) -> None:
+    if not (math.isfinite(epsilon_multiplier) and epsilon_multiplier > 0):
+        raise ValueError("epsilon_multiplier must be positive and finite")
+
+
 def _check_window(
-    model: ModelSpec, s, t, maturity_schedule, regime: Regime, tol: float
+    model: ModelSpec, s, t, maturity_schedule, regime: Regime, tol: float,
+    epsilon_multiplier: float,
 ) -> np.ndarray:
-    """The schedule as an array, once the window and settings are valid."""
+    """The schedule as an array, once the window and settings are valid;
+    it runs before any sampling."""
+    _check_multiplier(epsilon_multiplier)
     model.require_regime(regime)
     if not 0 <= s < t < math.inf:
         raise ValueError("need 0 <= s < t < inf")
@@ -288,7 +297,9 @@ def run_poisson_example(
         raise ValueError("n_continuations must be at least 2")
     model = ConstantRate(r0) if delta == 0.0 else PoissonJump(r0, delta, intensity)
     regime = Regime.CONTINUOUS
-    taus = _check_window(model, s, t, maturity_schedule, regime, tol)
+    taus = _check_window(
+        model, s, t, maturity_schedule, regime, tol, epsilon_multiplier
+    )
     reciprocal = ExtractionMethod.RECIPROCAL_EXTRAPOLATION
 
     pricing = []

@@ -275,6 +275,24 @@ class TestErrorHandling:
         assert not (out / result).exists()
         assert not (out / "summary.json").exists()
 
+    def test_short_schedule_is_a_config_error_where_a_long_rate_is_extracted(
+        self, tmp_path, capsys
+    ):
+        doc = json.loads((CONFIGS / "markov2.json").read_text())
+        doc["schedule"]["taus"] = [125, 250, 500]
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(doc))
+        for command in ("long-rate", "verify-dir"):
+            out = tmp_path / command
+            assert run_cli(command, "--config", short, "--out", out) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "config error: schedule.taus needs at least 4 maturities" in err
+            assert not (out / "summary.json").exists()
+        # a curve needs no extraction and takes any schedule
+        out = tmp_path / "curve"
+        assert run_cli("curve", "--config", short, "--out", out) == EXIT_OK
+        assert read_summary(out)["n_maturities"] == 3
+
     def test_negative_seed_override(self, tmp_path):
         code = run_cli("simulate", "--config", CONFIGS / "markov2.json",
                        "--out", tmp_path, "--seed", "-3")

@@ -17,11 +17,12 @@ from longrates.models import (
     Regime,
     STREAM_CONTINUATION,
     TimeGrid,
-    _sample_jump_times,
     path_rng,
     simulate_paths,
 )
 from longrates.pricing import chain_log_prices, price_closed_form
+
+from jump_law import sample_jump_times
 
 SYM2 = MarkovChain([0.0, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
 POISSON = PoissonJump(0.05, 0.1, 0.5)
@@ -146,7 +147,7 @@ class TestTowerIdentity:
         samples = []
         for i in range(n):
             rng = path_rng(seed, STREAM_CONTINUATION, i)
-            jumps = _sample_jump_times(rng, POISSON.intensity, window)
+            jumps = sample_jump_times(rng, POISSON.intensity, window)
             before = int(np.sum(jumps <= 0.0))
             level = before * window + float(np.sum(window - jumps[before:]))
             discount = math.exp(-(r0 * window + delta * level))

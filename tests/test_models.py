@@ -14,11 +14,13 @@ from longrates.models import (
     STREAM_PRICING,
     ScenarioSet,
     TimeGrid,
-    _sample_jump_times,
+    _uniforms,
     path_rng,
     simulate_paths,
 )
 from longrates.verify import standard_fleet, verify_dir
+
+from jump_law import sample_jump_times
 
 SYM2 = MarkovChain([0.0, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
 
@@ -162,15 +164,15 @@ class TestRng:
         (STREAM_PATHS, STREAM_PATHS, 9),
     ])
     def test_batch_rekeying_matches_path_rng(self, seed, stream, index):
-        # the sampler resets one generator per path; it must draw what a
-        # freshly keyed path_rng(seed, stream, index) would
+        # the sampler draws every path in one numpy Philox pass; row i must
+        # hold what a freshly keyed path_rng(seed, stream, i) would draw
         lam, horizon = 2.0, 7.5
         grid = TimeGrid(Regime.CONTINUOUS, horizon, horizon)
         scen = simulate_paths(PoissonJump(0.0, 1.0, lam), grid, index + 1, seed,
                               stream=stream)
         assert scen.n_paths == index + 1
         for i in (0, index):
-            want = _sample_jump_times(path_rng(seed, stream, i), lam, horizon)
+            want = sample_jump_times(path_rng(seed, stream, i), lam, horizon)
             got = scen.jump_times[scen.offsets[i]:scen.offsets[i + 1]]
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -220,7 +222,7 @@ class TestRng:
         scen = simulate_paths(model, grid, 50, 4)
         want = []
         for i in range(50):
-            jumps = _sample_jump_times(path_rng(4, STREAM_PATHS, i), 0.5, 6.0)
+            jumps = sample_jump_times(path_rng(4, STREAM_PATHS, i), 0.5, 6.0)
             want.append([0.05 + 0.1 * int(np.sum(jumps <= u)) for u in times])
         assert scen.states_at(times).tolist() == want
         # a constant model's paths have no jumps: their state is the rate
@@ -232,6 +234,77 @@ class TestRng:
         assert np.array_equal(lattice, np.zeros((50, 3)))
         with pytest.raises(ValueError, match="horizon"):
             scen.states_at((7.0,))
+
+
+class TestKeyedSampler:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
+    def test_numpy_philox_equals_path_rng(self, seed, k):
+        # k = 4 and 5 end at and just past a block of four; 9 spans three
+        index = [0, 2**32 + 1, 2**64 - 1]
+        for stream in (STREAM_PATHS, STREAM_CONTINUATION):
+            want = np.array([path_rng(seed, stream, i).random(k) for i in index])
+            got = _uniforms(seed, stream, np.array(index, dtype=np.uint64), k)
+            assert got.shape == (3, k)
+            assert np.array_equal(got, want)
+
+    def test_later_blocks_continue_the_stream(self):
+        index = np.arange(5)
+        want = np.array([path_rng(7, STREAM_PATHS, i).random(12) for i in index])
+        assert np.array_equal(_uniforms(7, STREAM_PATHS, index, 4, 4), want[:, 4:8])
+        assert np.array_equal(_uniforms(7, STREAM_PATHS, index, 5, 4), want[:, 4:9])
+        assert np.array_equal(_uniforms(7, STREAM_PATHS, [3], 4, 8), want[[3], 8:])
+
+    def test_jump_counts_follow_the_poisson_law(self):
+        # share of paths without a jump and mean count, within 5 SE
+        n, mean = 200_000, 1.5
+        scen = simulate_paths(PoissonJump(0.05, 0.1, 0.5),
+                              TimeGrid(Regime.CONTINUOUS, 3.0, 3.0), n, 20260819)
+        counts = np.diff(scen.offsets)
+        p0 = math.exp(-mean)
+        assert abs(np.mean(counts == 0) - p0) <= 5 * math.sqrt(p0 * (1 - p0) / n)
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(mean / n)
+
+    def test_counts_survive_an_underflowing_zero_term(self):
+        # mean 800: exp(-800) underflows to 0, yet the counts stay Poisson
+        assert math.exp(-800.0) == 0.0
+        n, mean = 400, 800.0
+        scen = simulate_paths(PoissonJump(0.0, 0.01, 80.0),
+                              TimeGrid(Regime.CONTINUOUS, 10.0, 10.0), n, 3)
+        counts = np.diff(scen.offsets)
+        assert counts.min() > 0
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(mean / n)
+        assert abs(counts.var(ddof=1) - mean) <= 0.3 * mean
+        # the sampler runs these paths in several passes; rows on either
+        # side of a pass edge still hold their own path's draws
+        for i in [*range(0, n, 37), n - 1]:
+            want = sample_jump_times(path_rng(3, STREAM_PATHS, i), 80.0, 10.0)
+            got = scen.jump_times[scen.offsets[i]:scen.offsets[i + 1]]
+            assert np.array_equal(got, want)
+
+    def test_mean_time_to_horizon_sum(self):
+        # E[sum of (tau - U_i)] = intensity * tau**2 / 2 over the jumps U_i
+        n, lam, tau = 100_000, 0.5, 4.0
+        scen = simulate_paths(PoissonJump(0.0, 1.0, lam),
+                              TimeGrid(Regime.CONTINUOUS, tau, tau), n, 17)
+        path = np.repeat(np.arange(n), np.diff(scen.offsets))
+        sums = np.bincount(path, weights=tau - scen.jump_times, minlength=n)
+        se = sums.std(ddof=1) / math.sqrt(n)
+        assert abs(sums.mean() - lam * tau**2 / 2) <= 5 * se
+
+    @pytest.mark.parametrize("n_gaps", [7, 8, 9, 129])
+    def test_rows_across_the_pairwise_edge_give_exact_discounts(self, n_gaps):
+        # ndarray.sum adds under 8 terms in order, 8 or more pairwise and
+        # over 128 in halves; each row must get the float of its own sum
+        rng = np.random.default_rng(n_gaps)
+        paths = [
+            sorted(10.0 * rng.random(n_gaps) ** rng.uniform(1, 12)) for _ in range(300)
+        ]
+        paths += [[], [0.0] * n_gaps, sorted(rng.random(2 * n_gaps))]
+        scen = jump_set(0.02, 0.7, paths, 10.0)
+        for s, t in ((0.0, 10.0), (0.0, 9.5)):
+            want = [math.exp(-integral_by_hand(0.02, 0.7, p, s, t)) for p in paths]
+            assert scen.discounts(s, t).tolist() == want
 
 
 class TestJumpPath:

@@ -1,6 +1,7 @@
 """Guards on the package as a whole: what importing it loads, that model
-types are told apart by the model protocol, not by isinstance checks, and
-that scenarios reach every consumer by one route."""
+types are told apart by the model protocol, not by isinstance checks, that
+scenarios reach every consumer by one route, and that no path gets a
+generator of its own."""
 
 import ast
 import os
@@ -78,3 +79,28 @@ def test_each_model_has_one_sampling_hook():
         assert "_sample" in members, name
         for old in ("state_at", "_paths", "_states_at", "_mc_discounts"):
             assert old not in members, (name, old)
+
+
+def _philox_sites(tree: ast.AST, scope: str = "<module>") -> list[str]:
+    """The enclosing function of each call that builds a Philox generator."""
+    sites = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "Philox":
+                sites.append(scope)
+        inner = child.name if isinstance(child, ast.FunctionDef) else scope
+        sites += _philox_sites(child, inner)
+    return sites
+
+
+def test_paths_are_drawn_without_a_generator_each():
+    # one numpy Philox pass draws every path; path_rng, the one-path
+    # reference, is the only place that builds a Philox generator
+    assert not hasattr(models, "_keyed_streams")
+    sites = [
+        (path.name, scope)
+        for path in sorted((SRC / "longrates").glob("*.py"))
+        for scope in _philox_sites(ast.parse(path.read_text()))
+    ]
+    assert sites == [("models.py", "path_rng")]

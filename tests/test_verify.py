@@ -7,7 +7,7 @@ from longrates import pricing, verify
 from longrates.longrate import ExtractionMethod, extract_long_rate, perron_long_rate
 from longrates.models import (
     STREAM_PATHS, ConstantRate, MarkovChain, PoissonJump, Regime, TimeGrid,
-    _sample_jump_times, path_rng, simulate_paths,
+    path_rng, simulate_paths,
 )
 from longrates.pricing import build_curves
 from longrates.verify import (
@@ -17,6 +17,8 @@ from longrates.verify import (
     standard_fleet,
     verify_dir,
 )
+
+from jump_law import sample_jump_times
 
 SYM2 = MarkovChain([0.0, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
 POISSON = PoissonJump(0.05, 0.1, 0.5)
@@ -36,7 +38,7 @@ def per_path_reference(model, s, t, n_paths, seed, regime):
     def states(i):
         rng = path_rng(seed, STREAM_PATHS, i)
         if regime is Regime.CONTINUOUS:
-            jumps = _sample_jump_times(rng, model.intensity, float(t))
+            jumps = sample_jump_times(rng, model.intensity, float(t))
             return [model.r0 + model.delta * int(np.sum(jumps <= u)) for u in (s, t)]
         cum = np.cumsum(model.transition, axis=1)
         path = [model.initial_state]
@@ -101,6 +103,30 @@ class TestViolationRule:
         with pytest.raises(ValueError, match="finite"):
             verify_dir(SYM2, 0, 1, (62, 125, 250, 500), 20, 1, Regime.DISCRETE,
                        epsilon_multiplier=multiplier)
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, 0.0])
+    def test_bad_multiplier_is_refused_before_any_sampling(
+        self, monkeypatch, multiplier
+    ):
+        calls = []
+
+        def counted(name):
+            real = getattr(verify, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("simulate_paths", "price_mc"):
+            monkeypatch.setattr(verify, name, counted(name))
+        with pytest.raises(ValueError, match="epsilon_multiplier"):
+            verify_dir(POISSON, 0.0, 5.0, SCHEDULE, 20, 1, Regime.CONTINUOUS,
+                       epsilon_multiplier=multiplier)
+        with pytest.raises(ValueError, match="epsilon_multiplier"):
+            run_poisson_example(0.05, 0.1, 0.5, 0.0, 5.0, 20, 11, n_mc=100,
+                                n_continuations=100, epsilon_multiplier=multiplier)
+        assert calls == []
 
 
 class TestVerifyDir:
