@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -118,12 +119,11 @@ def _cmd_simulate(args, doc) -> int:
     n_paths, seed = _mc_params(args, doc)
     scen = simulate_paths(model, grid, n_paths, seed)
     times = grid.reporting_times()
-    rows = [
-        (k, u, float(r))
-        for k, rates in enumerate(scen.rates_at(times))
-        for u, r in zip(times, rates)
-    ]
-    n_rows = write_csv(args.out / "paths.csv", ("path", "time", "rate"), rows)
+    n_rows = write_csv(args.out / "paths.csv", {
+        "path": np.repeat(np.arange(n_paths), times.size),
+        "time": np.tile(times, n_paths),
+        "rate": scen.rates_at(times).ravel(),
+    })
     dump_json(args.out / "summary.json", {
         "command": "simulate",
         "model": model.label,
@@ -142,36 +142,35 @@ def _cmd_price(args, doc) -> int:
     times = cfg.parse_times(doc)
     t = cfg.require_time(times, "t")
     T = cfg.require_time(times, "T")
-    log_p = log_price_closed_form(model, None, t, T, grid.regime)
     closed = price_closed_form(model, None, t, T, grid.regime)
-    summary = {
-        "command": "price",
-        "model": model.label,
-        "regime": grid.regime.value,
+    row = {
         "t": t,
         "T": T,
-        "log_price": log_p,
+        "log_price": log_price_closed_form(model, None, t, T, grid.regime),
         "closed_form": closed,
     }
-    header: tuple[str, ...] = ("t", "T", "log_price", "closed_form")
-    row: list = [t, T, log_p, closed]
+    mc_seed = {}
     if "mc" in doc:
         n_paths, seed = _mc_params(args, doc)
         mc = price_mc(model, None, t, T, n_paths, seed, grid.regime)
         z_score = mc.z_score(closed)
         if np.isinf(z_score):
             raise cfg.ConfigError("mc produced a degenerate standard error")
-        header = header + ("mc_value", "mc_std_error", "mc_n", "z_score")
-        row += [mc.value, mc.std_error, mc.n, z_score]
-        summary.update({
+        row.update({
             "mc_value": mc.value,
             "mc_std_error": mc.std_error,
             "mc_n": mc.n,
             "z_score": z_score,
-            "seed": seed,
         })
-    write_csv(args.out / "price.csv", header, [tuple(row)])
-    dump_json(args.out / "summary.json", summary)
+        mc_seed["seed"] = seed
+    write_csv(args.out / "price.csv", {key: [value] for key, value in row.items()})
+    dump_json(args.out / "summary.json", {
+        "command": "price",
+        "model": model.label,
+        "regime": grid.regime.value,
+        **row,
+        **mc_seed,
+    })
     return EXIT_OK
 
 
@@ -182,19 +181,15 @@ def _cmd_curve(args, doc) -> int:
     taus, _ = cfg.parse_schedule(doc, grid.regime)
     maturities = t + taus
     disc, rates = build_curves(model, None, t, maturities, grid.regime)
-    rows = [
-        (t, T, lp, p, f, z, x)
-        for T, lp, p, f, z, x in zip(
-            disc.maturities, disc.log_prices, disc.prices(),
-            rates.forward, rates.zero, rates.x,
-        )
-    ]
-    write_csv(
-        args.out / "curve.csv",
-        ("observation_time", "maturity", "log_price", "price", "forward",
-         "zero", "x"),
-        rows,
-    )
+    write_csv(args.out / "curve.csv", {
+        "observation_time": np.full(maturities.size, t),
+        "maturity": disc.maturities,
+        "log_price": disc.log_prices,
+        "price": disc.prices(),
+        "forward": rates.forward,
+        "zero": rates.zero,
+        "x": rates.x,
+    })
     dump_json(args.out / "summary.json", {
         "command": "curve",
         "model": model.label,
@@ -226,8 +221,7 @@ def _cmd_long_rate(args, doc) -> int:
     _, rates = build_curves(model, None, t, t + taus, grid.regime)
     values = rates.x if quantity == "x" else rates.zero
     est = extract_long_rate(np.column_stack([taus, values]), method, tol)
-    rows = [("extracted", quantity, est.method.value, est.value, est.residual,
-             est.T_used, est.converged)]
+    estimates = {"extracted": est}
     summary = {
         "command": "long-rate",
         "model": model.label,
@@ -246,16 +240,18 @@ def _cmd_long_rate(args, doc) -> int:
         spectral_value = spectral.value
         if quantity == "zero":
             spectral_value = long_zero_from_x(spectral.value, grid.regime)
-        rows.append(("spectral", quantity, "spectral", spectral_value,
-                     spectral.residual, 0.0, True))
+        estimates["spectral"] = replace(spectral, value=spectral_value)
         summary["spectral_value"] = spectral_value
         summary["spectral_gap"] = abs(est.value - spectral_value)
-    write_csv(
-        args.out / "long_rate.csv",
-        ("source", "quantity", "method", "value", "residual", "T_used",
-         "converged"),
-        rows,
-    )
+    write_csv(args.out / "long_rate.csv", {
+        "source": list(estimates),
+        "quantity": [quantity] * len(estimates),
+        "method": [e.method.value for e in estimates.values()],
+        "value": [e.value for e in estimates.values()],
+        "residual": [e.residual for e in estimates.values()],
+        "T_used": [e.T_used for e in estimates.values()],
+        "converged": [e.converged for e in estimates.values()],
+    })
     dump_json(args.out / "summary.json", summary)
     return EXIT_OK
 
@@ -273,23 +269,13 @@ def _cmd_verify_measure(args, doc) -> int:
         model, s, t, T, grid.regime, n=n_paths, seed=seed
     )
     passed = report.passed(tolerances["k_sigma"], tolerances["exact_tol"])
-    write_csv(
-        args.out / "measure.csv",
-        ("s", "t", "T", "lhs", "rhs", "gap", "se"),
-        [(report.s, report.t, report.T, report.lhs, report.rhs, report.gap,
-          report.se)],
-    )
+    row = {key: getattr(report, key) for key in ("s", "t", "T", "lhs", "rhs", "gap", "se")}
+    write_csv(args.out / "measure.csv", {key: [value] for key, value in row.items()})
     dump_json(args.out / "summary.json", {
         "command": "verify-measure",
         "model": model.label,
         "regime": grid.regime.value,
-        "s": s,
-        "t": t,
-        "T": T,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "gap": report.gap,
-        "se": report.se,
+        **row,
         "n": report.n,
         "exact": report.exact,
         "k_sigma": tolerances["k_sigma"],
@@ -316,17 +302,15 @@ def _cmd_verify_dir(args, doc) -> int:
     )
     flagged = np.zeros(report.n_paths, dtype=bool)
     flagged[report.violation_indices] = True
-    rows = [
-        (k, report.x_s[k], report.x_t[k], report.residual_s[k],
-         report.residual_t[k], report.epsilon[k], bool(flagged[k]))
-        for k in range(report.n_paths)
-    ]
-    write_csv(
-        args.out / "report.csv",
-        ("path", "x_s", "x_t", "residual_s", "residual_t", "epsilon",
-         "violation"),
-        rows,
-    )
+    write_csv(args.out / "report.csv", {
+        "path": np.arange(report.n_paths),
+        "x_s": report.x_s,
+        "x_t": report.x_t,
+        "residual_s": report.residual_s,
+        "residual_t": report.residual_t,
+        "epsilon": report.epsilon,
+        "violation": flagged,
+    })
     summary = {
         "command": "verify-dir",
         "model": report.model_id,
@@ -361,17 +345,14 @@ def _cmd_lemma_lab(args, doc) -> int:
         raise cfg.ConfigError("tolerances.tol is required for lemma-lab")
     report = pnorm_liminf_bound(sequence, limit, partition, schedule,
                                 tolerances["tol"])
-    rows = []
-    for k, n in enumerate(report.n_schedule):
-        for atom in range(space.n_atoms):
-            rows.append((n, atom, report.norms[k, atom],
-                         report.limit_values[atom],
-                         bool(report.atom_ok[atom])))
-    write_csv(
-        args.out / "trace.csv",
-        ("n", "atom", "norm", "limit", "verdict"),
-        rows,
-    )
+    steps = len(report.n_schedule)
+    write_csv(args.out / "trace.csv", {
+        "n": np.repeat(report.n_schedule, space.n_atoms),
+        "atom": np.tile(np.arange(space.n_atoms), steps),
+        "norm": report.norms.ravel(),
+        "limit": np.tile(report.limit_values, steps),
+        "verdict": np.tile(report.atom_ok, steps),
+    })
     dump_json(args.out / "summary.json", {
         "command": "lemma-lab",
         "n_atoms": space.n_atoms,

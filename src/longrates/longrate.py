@@ -117,9 +117,10 @@ def _intercepts(taus: np.ndarray, curves: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.lstsq(design, row, rcond=None)[0][0] for row in curves])
 
 
-def perron_long_rate(
-    model: MarkovChain, tol: float = 1e-12, max_iter: int = 10**6
-) -> LongRateEstimate:
+_MAX_POWER_STEPS = 10**6
+
+
+def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate:
     """Exact chain long rate: Perron root of the discounted transition matrix.
 
     Power iteration on the positive cone; the l1 growth ratio converges to
@@ -151,7 +152,7 @@ def perron_long_rate(
 
     discounted = model.discounted_transition()
     v = np.full(model.n_states, 1.0 / model.n_states)
-    for _ in range(max_iter):
+    for _ in range(_MAX_POWER_STEPS):
         w = discounted @ v
         # Collatz-Wielandt: for positive v the Perron root lies between the
         # smallest and largest entry of Dv / v, and so does the l1 ratio
@@ -161,7 +162,7 @@ def perron_long_rate(
         v = w / w.sum()
         if width <= tol:
             return LongRateEstimate(ratio, ExtractionMethod.SPECTRAL, width, 0.0, True)
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"power iteration did not converge in {_MAX_POWER_STEPS} steps")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,55 +1,71 @@
 """Deterministic text output: fixed field order, 17-significant-digit floats.
 
-Two runs with the same inputs must produce byte-identical files. All float
-formatting funnels through :func:`fmt_float` (round-trip precision), and the
-JSON writer emits keys in insertion order without ever re-sorting, so every
-byte of every result file is a pure function of the run's inputs.
+Two runs with the same inputs must produce byte-identical files. Every value
+written takes its text from one rule chosen by numpy dtype (`_rule`), once per
+CSV column and once per JSON value, and the JSON writer emits keys in
+insertion order without ever re-sorting, so every byte of every result file
+is a pure function of the run's inputs.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 __all__ = ["fmt_float", "write_csv", "dumps_json", "dump_json"]
 
+# rows formatted per write: only one block's text is held at a time
+_BLOCK_ROWS = 8192
+
+
+def _rule(values: np.ndarray):
+    """The function that gives one value of `values` its text, picked once
+    by dtype: true/false, decimal, 17 significant digits, or the text itself.
+    Refuses a non-finite float, and text holding a comma or a newline."""
+    kind = values.dtype.kind
+    if kind == "b":
+        return {True: "true", False: "false"}.__getitem__
+    if kind in "iu":
+        return str
+    if kind == "f":
+        if not np.isfinite(values).all():
+            raise ValueError("refusing to format a non-finite float")
+        # the same digits as format(v, ".17g"), and faster per value
+        return "%.17g".__mod__
+    for text in map(str, values.flat):
+        if "," in text or "\n" in text:
+            raise ValueError(f"CSV cell may not contain commas or newlines: {text!r}")
+    return str
+
+
+def _text(value) -> str:
+    array = np.asarray(value)
+    return _rule(array)(array.item())
+
 
 def fmt_float(x) -> str:
     """Seventeen significant digits: enough to round-trip every float
     exactly, though not always the shortest form (0.1 -> 0.10000000000000001)."""
-    value = float(x)
-    if not math.isfinite(value):
-        raise ValueError("refusing to format a non-finite float")
-    return format(value, ".17g")
+    return _text(float(x))
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
-    text = str(value)
-    if "," in text or "\n" in text:
-        raise ValueError(f"CSV cell may not contain commas or newlines: {text!r}")
-    return text
-
-
-def write_csv(path, header, rows) -> int:
-    """Write rows under a fixed header; returns the number of data rows."""
-    lines = [",".join(header)]
-    width = len(header)
-    for row in rows:
-        cells = [_cell(v) for v in row]
-        if len(cells) != width:
-            raise ValueError("row width does not match header")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+def write_csv(path, columns) -> int:
+    """Write named columns, the header being their names in order; returns
+    the number of data rows."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    n_rows = arrays[0].size if arrays else 0
+    if any(array.shape != (n_rows,) for array in arrays):
+        raise ValueError("CSV columns must be one-dimensional and of equal length")
+    rules = [_rule(array) for array in arrays]
+    with open(path, "w") as out:
+        out.write(",".join(columns) + "\n")
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            cells = [list(map(rule, array[lo:lo + _BLOCK_ROWS].tolist()))
+                     for rule, array in zip(rules, arrays)]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return n_rows
 
 
 def dumps_json(obj) -> str:
@@ -92,14 +108,8 @@ def _emit(obj, buf: list[str], depth: int) -> None:
     if obj is None:
         buf.append("null")
         return
-    if isinstance(obj, (bool, np.bool_)):
-        buf.append("true" if obj else "false")
-        return
-    if isinstance(obj, (int, np.integer)):
-        buf.append(str(int(obj)))
-        return
-    if isinstance(obj, (float, np.floating)):
-        buf.append(fmt_float(obj))
+    if isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
+        buf.append(_text(obj))
         return
     if isinstance(obj, str):
         buf.append(json.dumps(obj))

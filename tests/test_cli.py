@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from longrates import config as cfg
 from longrates.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from longrates.models import simulate_paths
+from longrates.verify import verify_dir
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -305,3 +309,59 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])  # missing required --config
         assert exc.value.code == EXIT_USAGE
+
+
+def cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def rendered(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestBytesAgainstAnIndependentRendering:
+    """The CLI's files against a cell-by-cell rendering of the library's
+    values, so a deterministic change of format cannot pass unseen."""
+
+    def test_simulate_paths_csv(self, tmp_path):
+        doc = cfg.load_config(CONFIGS / "poisson.json")
+        grid = cfg.parse_grid(doc)
+        n_paths, seed = cfg.parse_mc(doc)
+        times = grid.reporting_times()
+        rates = simulate_paths(cfg.parse_model(doc), grid, n_paths, seed).rates_at(times)
+        want = rendered(("path", "time", "rate"), (
+            (k, u, r) for k in range(n_paths) for u, r in zip(times, rates[k])
+        ))
+        assert run_cli("simulate", "--config", CONFIGS / "poisson.json",
+                       "--out", tmp_path) == EXIT_OK
+        assert (tmp_path / "paths.csv").read_bytes() == want
+        assert read_summary(tmp_path)["n_rows"] == n_paths * times.size == 62_000
+
+    def test_verify_dir_report_csv(self, tmp_path):
+        doc = cfg.load_config(CONFIGS / "markov2.json")
+        grid = cfg.parse_grid(doc)
+        times = cfg.parse_times(doc)
+        taus, _ = cfg.parse_schedule(doc, grid.regime, extract=True)
+        n_paths, seed = cfg.parse_mc(doc)
+        tolerances = cfg.parse_tolerances(doc)
+        report = verify_dir(
+            cfg.parse_model(doc), times["s"], times["t"], taus, n_paths, seed,
+            grid.regime, method=tolerances["method"],
+            epsilon_multiplier=tolerances["epsilon_multiplier"],
+            tol=tolerances["extraction_tol"],
+        )
+        flagged = set(report.violation_indices.tolist())
+        want = rendered(
+            ("path", "x_s", "x_t", "residual_s", "residual_t", "epsilon", "violation"),
+            ((k, report.x_s[k], report.x_t[k], report.residual_s[k],
+              report.residual_t[k], report.epsilon[k], k in flagged)
+             for k in range(n_paths)),
+        )
+        assert run_cli("verify-dir", "--config", CONFIGS / "markov2.json",
+                       "--out", tmp_path) == EXIT_OK
+        assert (tmp_path / "report.csv").read_bytes() == want
