@@ -8,6 +8,7 @@ independently as the Perron eigenvalue of the discounted transition matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -15,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .models import MarkovChain, ModelSpec, Regime
-from .pricing import build_curves
+from .pricing import _binary_powers, build_curves
 
 __all__ = [
     "ExtractionMethod",
@@ -42,8 +43,8 @@ class LongRateEstimate:
     For tail estimators the residual measures how much the estimate still
     moves with the schedule: last-step change for the plain tail, and the
     difference between the tail-half and all-points fits for reciprocal
-    extrapolation. For the spectral method it is the width of the
-    Collatz-Wielandt bracket that holds both the value and the exact root.
+    extrapolation. For the spectral method it is the width, floored at
+    rounding level, of the Collatz-Wielandt bracket that holds value and root.
     """
 
     value: float
@@ -117,19 +118,21 @@ def _intercepts(taus: np.ndarray, curves: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.lstsq(design, row, rcond=None)[0][0] for row in curves])
 
 
-_MAX_POWER_STEPS = 10**6
+_MAX_SQUARINGS = 64  # v has then taken 2^64 - 1 steps of D
+_EPS = np.finfo(float).eps
 
 
 def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate:
     """Exact chain long rate: Perron root of the discounted transition matrix.
 
-    Power iteration on the positive cone; the l1 growth ratio converges to
-    the dominant eigenvalue, which is the limiting per-period price-growth
-    factor x from every state. Iteration stops once the Collatz-Wielandt
-    bracket around the root is at most ``tol`` wide, and that width is the
-    residual: it bounds the error of the returned ratio. Requires the chain
-    to be irreducible and aperiodic, otherwise the limit may not exist or
-    may depend on the state.
+    Repeated squaring on the positive cone: v <- D^(2^k) v, k = 0, 1, ...,
+    takes v to the Perron vector, whose l1 growth ratio under D is the
+    limiting per-period price-growth factor x from every state. The residual,
+    which bounds the ratio's error, is the width of the Collatz-Wielandt
+    bracket of D on v, floored at 4 * n * eps * ratio for the rounding of
+    Dv / v on n states; squaring stops once it is at most ``tol``. Requires
+    an irreducible, aperiodic chain, else the limit may not exist or may
+    depend on the state.
     """
     if not isinstance(model, MarkovChain):
         raise ValueError("spectral long rate is defined for finite chains")
@@ -151,18 +154,18 @@ def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate
         raise ValueError("chain is periodic; the price-growth limit need not exist")
 
     discounted = model.discounted_transition()
-    v = np.full(model.n_states, 1.0 / model.n_states)
-    for _ in range(_MAX_POWER_STEPS):
+    v = np.ones(n)
+    for power, _ in itertools.islice(_binary_powers(discounted), _MAX_SQUARINGS):
+        v = power @ (v / v.sum())
         w = discounted @ v
         # Collatz-Wielandt: for positive v the Perron root lies between the
         # smallest and largest entry of Dv / v, and so does the l1 ratio
         bracket = w / v
-        width = float(bracket.max() - bracket.min())
         ratio = float(w.sum() / v.sum())
-        v = w / w.sum()
-        if width <= tol:
-            return LongRateEstimate(ratio, ExtractionMethod.SPECTRAL, width, 0.0, True)
-    raise RuntimeError(f"power iteration did not converge in {_MAX_POWER_STEPS} steps")
+        residual = max(float(bracket.max() - bracket.min()), 4 * n * _EPS * ratio)
+        if residual <= tol:
+            return LongRateEstimate(ratio, ExtractionMethod.SPECTRAL, residual, 0.0, True)
+    raise RuntimeError(f"Perron squaring did not converge in {_MAX_SQUARINGS} squarings")
 
 
 @dataclass(frozen=True, eq=False)

@@ -437,20 +437,19 @@ class MarkovChain(_Model):
         return ScenarioSet(grid, states=states, state_rates=self.state_rates)
 
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
-        """Exact: the discounted one-step operator carries P(t, T) back to s
-        from every state; the gap is the worst state's."""
+        """Exact: the binary powers of the discounted one-step operator carry
+        P(t, T) back to s from every state; the gap is the worst state's."""
         from . import pricing
 
-        n_st, n_sT = _periods(s, (t, T))
+        n_st, n_sT = _periods(s, (t, T)).tolist()
         lp = pricing.chain_log_prices(self, [n_sT, n_sT - n_st])
         lhs_vec = np.exp(lp[n_sT])
-        v = np.exp(lp[n_sT - n_st])
-        discounted = self.discounted_transition()
-        for _ in range(n_st):
-            v = discounted @ v
-        gap = float(np.abs(v - lhs_vec).max())
+        powers = pricing._binary_powers(self.discounted_transition())
+        v, log_scale = pricing._advance(powers, np.exp(lp[n_sT - n_st]), n_st)
+        rhs_vec = v * math.exp(log_scale)
+        gap = float(np.abs(rhs_vec - lhs_vec).max())
         idx = self.initial_state
-        return float(lhs_vec[idx]), float(v[idx]), gap, 0.0, 0, True
+        return float(lhs_vec[idx]), float(rhs_vec[idx]), gap, 0.0, 0, True
 
     def _spectral(self):
         from . import longrate

@@ -12,6 +12,7 @@ the observed state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,29 +137,43 @@ def price_closed_form(
 def chain_log_prices(model: MarkovChain, horizons) -> dict[int, np.ndarray]:
     """Log n-period prices from every chain state, for each n in horizons.
 
-    One pass of repeated multiplication by the discounted transition matrix,
-    renormalized each step so that thousand-period prices stay representable.
+    D^n 1, for the discounted transition matrix D, takes one product with a
+    binary power of D per set bit of n, so a horizon's prices do not depend
+    on which other horizons are asked for.
     """
     want = sorted({int(n) for n in horizons})
     if want and want[0] < 0:
         raise ValueError("horizons must be non-negative")
-    out: dict[int, np.ndarray] = {}
-    if not want:
-        return out
-    if want[0] == 0:
-        out[0] = np.zeros(model.n_states)
-    discounted = model.discounted_transition()
-    v = np.ones(model.n_states)
-    log_scale = 0.0
-    want_set = set(want)
-    for n in range(1, want[-1] + 1):
-        v = discounted @ v
-        top = float(v.max())
-        v = v / top
-        log_scale += math.log(top)
-        if n in want_set:
-            out[n] = log_scale + np.log(v)
+    squarings = _binary_powers(model.discounted_transition())
+    powers = list(itertools.islice(squarings, max(want, default=0).bit_length()))
+    out = {}
+    for n in want:
+        v, log_scale = _advance(powers, np.ones(model.n_states), n)
+        out[n] = log_scale + np.log(v)
     return out
+
+
+def _binary_powers(power: np.ndarray):
+    """Yield D^(2^k), k = 0, 1, ..., as (power rescaled to a largest entry of
+    1, log scale); each squaring doubles the power's relative rounding error."""
+    log_scale = 0.0
+    while True:
+        top = float(power.max())
+        power, log_scale = power / top, log_scale + math.log(top)
+        yield power, log_scale
+        power, log_scale = power @ power, 2.0 * log_scale
+
+
+def _advance(powers, v: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
+    """D^steps v as (vector, log scale), from the binary powers of D in order:
+    one product per set bit of steps, each followed by a rescaling of v."""
+    log_scale = 0.0
+    for k, (power, power_scale) in zip(range(steps.bit_length()), powers):
+        if steps >> k & 1:
+            v = power @ v
+            top = float(v.max())
+            v, log_scale = v / top, log_scale + power_scale + math.log(top)
+    return v, log_scale
 
 
 def price_mc(

@@ -96,7 +96,7 @@ def test_criterion_2_long_rate_convergence():
 
 
 def test_criterion_3_spectral_oracle_agreement():
-    with criterion(3, "power iteration vs hand eigenvalue 21/22", 1.0):
+    with criterion(3, "Perron squaring vs hand eigenvalue 21/22", 1.0):
         spectral = perron_long_rate(SYM2)
         assert abs(spectral.value - 21.0 / 22.0) <= 1e-12
         z_long = long_zero_from_x(spectral.value, Regime.DISCRETE)

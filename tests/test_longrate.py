@@ -32,6 +32,14 @@ CHAIN4 = MarkovChain(
 )
 
 
+def random_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    return MarkovChain(rng.uniform(0.0, 0.1, n), rng.dirichlet(np.ones(n), n), 0)
+
+
+NEARLY_SPLIT = MarkovChain([0.0, 1e-9], [[1 - 1e-12, 1e-12], [1e-12, 1 - 1e-12]], 0)
+
+
 def pairs(taus, values):
     return np.column_stack([np.asarray(taus, float), np.asarray(values, float)])
 
@@ -140,6 +148,39 @@ class TestPerron:
         root = float(np.max(np.abs(np.linalg.eigvals(chain.discounted_transition()))))
         assert est.converged
         assert abs(est.value - root) <= est.residual <= 1e-12
+
+    @pytest.mark.parametrize("chain", [
+        pytest.param(MarkovChain([0.0, 0.001], [[1 - p, p], [p, 1 - p]], 0), id=f"flip-{p:g}")
+        for p in (1e-4, 1e-7)
+    ] + [pytest.param(random_chain(n, n), id=f"random-{n}") for n in (8, 32, 128)] + [
+        # second eigenvalue within 2e-12 of the root: about 45 squarings
+        pytest.param(NEARLY_SPLIT, id="nearly-split"),
+    ])
+    def test_squaring_residual_bounds_the_error(self, chain):
+        root = float(np.max(np.abs(np.linalg.eigvals(chain.discounted_transition()))))
+        est = perron_long_rate(chain)
+        assert est.converged
+        assert abs(est.value - root) <= est.residual <= 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("chain", [
+        MarkovChain([0.0, 0.001], [[1 - 1e-4, 1e-4], [1e-4, 1 - 1e-4]], 0),
+        random_chain(8, 8), NEARLY_SPLIT,
+    ], ids=["flip-1e-4", "random-8", "nearly-split"])
+    def test_residual_bounds_the_error_when_stopped_early(self, chain, tol):
+        root = float(np.max(np.abs(np.linalg.eigvals(chain.discounted_transition()))))
+        est = perron_long_rate(chain, tol)
+        assert abs(est.value - root) <= est.residual <= tol
+
+    def test_residual_never_reads_below_rounding_level(self):
+        # a bracket computed in floats can close to 0 while the value is
+        # still an ulp off the root; the floor keeps the residual honest
+        est = perron_long_rate(SYM2)
+        assert est.residual >= 8 * np.finfo(float).eps * est.value
+
+    def test_unreachable_tol_does_not_converge(self):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            perron_long_rate(SYM2, tol=0.0)
 
     def test_reducible_chain_rejected(self):
         chain = MarkovChain([0.0, 0.1], [[1.0, 0.0], [0.5, 0.5]], 0)

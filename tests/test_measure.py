@@ -26,6 +26,9 @@ from jump_law import sample_jump_times
 
 SYM2 = MarkovChain([0.0, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
 POISSON = PoissonJump(0.05, 0.1, 0.5)
+SLOW2 = MarkovChain([0.0, 0.001], [[1 - 1e-4, 1e-4], [1e-4, 1 - 1e-4]], 0)
+_rng = np.random.default_rng(16)
+RANDOM16 = MarkovChain(_rng.uniform(0.0, 0.1, 16), _rng.dirichlet(np.ones(16), 16), 0)
 
 
 class TestWeights:
@@ -104,6 +107,15 @@ class TestTowerIdentity:
         assert report.exact
         assert abs(report.gap) <= 1e-12
         assert report.passed()
+
+    @pytest.mark.parametrize("s,t,T", [(0, 300, 1000), (3, 130, 257), (0, 1, 2000)])
+    @pytest.mark.parametrize("chain", [SLOW2, RANDOM16], ids=["flip-1e-4", "random-16"])
+    def test_chain_is_exact_over_long_windows(self, chain, s, t, T):
+        # the carry from t back to s takes one product per set bit of t - s;
+        # both sides then differ from D^(T-s) 1 by about (T - s) * eps
+        report = tower_identity_check(chain, s, t, T, Regime.DISCRETE)
+        assert report.exact and report.passed()
+        assert abs(report.rhs - report.lhs) <= 4 * (T - s) * np.finfo(float).eps * report.lhs
 
     def test_fractional_discrete_times_rejected(self):
         # the chain's exact check counts whole periods, like every discrete

@@ -152,6 +152,87 @@ class TestClosedForms:
             assert p2 > p1
 
 
+def flip_chain(p):
+    """Two states that switch with probability p; slowly mixing for small p."""
+    return MarkovChain([0.0, 0.001], [[1 - p, p], [p, 1 - p]], 0)
+
+
+def random_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    return MarkovChain(rng.uniform(0.0, 0.1, n), rng.dirichlet(np.ones(n), n), 0)
+
+
+def step_by_step_log_prices(chain, horizons):
+    """Reference: one renormalised product with D per period."""
+    discounted = chain.discounted_transition()
+    v, log_scale, out = np.ones(chain.n_states), 0.0, {}
+    for n in range(max(horizons, default=0) + 1):
+        if n:
+            v = discounted @ v
+            top = float(v.max())
+            v, log_scale = v / top, log_scale + math.log(top)
+        if n in horizons:
+            out[n] = log_scale + np.log(v)
+    return out
+
+
+POWER_HORIZONS = [1, 2, 3, 127, 128, 129, 255, 256, 257, 250, 500, 1000, 2000]
+
+
+class TestChainPowers:
+    @pytest.mark.parametrize("chain", [
+        pytest.param(flip_chain(p), id=f"flip-{p:g}") for p in (0.5, 1e-2, 1e-4, 1e-7)
+    ] + [pytest.param(SYM2, id="sym2")] + [
+        pytest.param(random_chain(n, 10 + n), id=f"random-{n}") for n in (3, 5, 8)
+    ])
+    def test_log_prices_are_within_2n_eps_of_a_40_digit_reference(self, chain):
+        # squaring doubles a power's relative error, so log P(n) carries an
+        # absolute error of order n * eps; on a slowly mixing chain log P is
+        # small, so that is a large relative error, and only the absolute
+        # bound is a fair one
+        got = chain_log_prices(chain, POWER_HORIZONS)
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            discounted = [[mp.mpf(float(d)) for d in row]
+                          for row in chain.discounted_transition()]
+            v = [mp.mpf(1)] * chain.n_states
+            for n in range(1, max(POWER_HORIZONS) + 1):
+                v = [mp.fsum(d * x for d, x in zip(row, v)) for row in discounted]
+                if n in POWER_HORIZONS:
+                    for i, x in enumerate(v):
+                        error = abs(mp.mpf(float(got[n][i])) - mp.log(x))
+                        assert error <= 2 * n * eps, (n, i, float(error))
+
+    @pytest.mark.parametrize("horizons", [
+        [], [0], [0, 0, 1], [5, 3, 5, 0, 3], [2000, 1, 1000, 500, 250],
+        [127, 128, 129], [256, 255, 257, 0], [1, 2, 3, 4, 7, 8, 9],
+        [1023, 1024, 1025, 2047, 2048, 2049],
+    ])
+    @pytest.mark.parametrize("chain", [SYM2, CHAIN3, random_chain(16, 7)],
+                             ids=["sym2", "chain3", "random-16"])
+    def test_horizon_sets_match_a_step_by_step_loop(self, chain, horizons):
+        want = {int(n) for n in horizons}
+        got = chain_log_prices(chain, horizons)
+        assert list(got) == sorted(want)
+        expected = step_by_step_log_prices(chain, want)
+        for n in want:
+            np.testing.assert_allclose(got[n], expected[n], rtol=1e-12, atol=0.0)
+        if 0 in want:
+            assert np.all(got[0] == 0.0)
+
+    def test_a_horizon_does_not_depend_on_the_others_asked_for(self):
+        # per-state curves and the certificate's table ask for different
+        # horizon sets and must read the same prices
+        chain = random_chain(8, 3)
+        together = chain_log_prices(chain, range(0, 600, 7))
+        for n in (0, 7, 252, 595):
+            assert np.array_equal(chain_log_prices(chain, [n])[n], together[n])
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            chain_log_prices(SYM2, [3, -1])
+
+
 class TestPriceMc:
     def test_constant_has_zero_error(self):
         mc = price_mc(ConstantRate(0.03), None, 0.0, 4.0, 100, 0, Regime.CONTINUOUS)
