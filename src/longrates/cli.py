@@ -1,7 +1,9 @@
 """Command-line interface: each subcommand runs one JSON-configured batch.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 verification
-failure. Result files (CSV plus a summary JSON) are written with
+Each handler returns its CSV columns, summary and verdict; `main` alone
+writes them into --out, the CSV and then summary.json, and picks the exit
+code: 0 success, 1 usage, configuration or --out error, 2 verification
+failed or aborted for want of convergence. Files are written with
 deterministic formatting; wall time goes to stderr only, so repeated runs
 with the same config and seed are byte-identical, whatever --threads says.
 """
@@ -18,12 +20,12 @@ import numpy as np
 
 from . import config as cfg
 from .finiteprob import pnorm_liminf_bound
-from .longrate import ExtractionMethod, extract_long_rate, long_zero_from_x
+from .longrate import ExtractionMethod, NonConvergenceError, extract_long_rate, long_zero_from_x
 from .measure import tower_identity_check
 from .models import simulate_paths
 from .output import dump_json, write_csv
 from .pricing import build_curves, log_price_closed_form, price_closed_form, price_mc
-from .verify import NonConvergenceError, verify_dir
+from .verify import verify_dir
 
 __all__ = ["main", "run", "EXIT_OK", "EXIT_USAGE", "EXIT_VERIFY"]
 
@@ -78,30 +80,40 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    handler = _HANDLERS[args.command]
+    handler, csv_name = _HANDLERS[args.command]
+
+    def finish(message: str, code: int = EXIT_USAGE) -> int:
+        print(f"longrates {args.command}: {message}", file=sys.stderr)
+        return code
+
     try:
         doc = cfg.load_config(args.config)
         args.out.mkdir(parents=True, exist_ok=True)
-        code = handler(args, doc)
+        columns, summary, passed = handler(args, doc)
+        write_csv(args.out / csv_name, columns)
+        dump_json(args.out / "summary.json", {"command": args.command, **summary})
     except cfg.ConfigError as exc:
-        print(f"longrates {args.command}: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return finish(f"config error: {exc}")
     except ValueError as exc:
-        print(f"longrates {args.command}: invalid configuration: {exc}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return finish(f"invalid configuration: {exc}")
     except NonConvergenceError as exc:
-        print(f"longrates {args.command}: verification aborted: {exc}",
-              file=sys.stderr)
-        return EXIT_VERIFY
-    elapsed = time.perf_counter() - start
-    print(f"longrates {args.command}: exit {code} in {elapsed:.2f} s",
-          file=sys.stderr)
-    return code
+        return finish(f"verification aborted: {exc}", EXIT_VERIFY)
+    except OSError as exc:
+        # load_config reports its own OSError, so this one is from --out
+        return finish(f"cannot write --out: {exc}")
+    code = EXIT_OK if passed else EXIT_VERIFY
+    return finish(f"exit {code} in {time.perf_counter() - start:.2f} s", code)
 
 
 def run() -> None:
     sys.exit(main())
+
+
+def _model(doc):
+    """The model, the grid, and the head of summary.json that names both."""
+    model = cfg.parse_model(doc)
+    grid = cfg.parse_grid(doc)
+    return model, grid, {"model": model.label, "regime": grid.regime.value}
 
 
 def _mc_params(args, doc) -> tuple[int, int]:
@@ -113,32 +125,26 @@ def _mc_params(args, doc) -> tuple[int, int]:
     return n_paths, seed
 
 
-def _cmd_simulate(args, doc) -> int:
-    model = cfg.parse_model(doc)
-    grid = cfg.parse_grid(doc)
+def _cmd_simulate(args, doc) -> tuple[dict, dict, bool]:
+    model, grid, head = _model(doc)
     n_paths, seed = _mc_params(args, doc)
     scen = simulate_paths(model, grid, n_paths, seed)
     times = grid.reporting_times()
-    n_rows = write_csv(args.out / "paths.csv", {
+    return {
         "path": np.repeat(np.arange(n_paths), times.size),
         "time": np.tile(times, n_paths),
         "rate": scen.rates_at(times).ravel(),
-    })
-    dump_json(args.out / "summary.json", {
-        "command": "simulate",
-        "model": model.label,
-        "regime": grid.regime.value,
+    }, {
+        **head,
         "horizon": float(grid.horizon),
         "n_paths": n_paths,
         "seed": seed,
-        "n_rows": n_rows,
-    })
-    return EXIT_OK
+        "n_rows": n_paths * times.size,
+    }, True
 
 
-def _cmd_price(args, doc) -> int:
-    model = cfg.parse_model(doc)
-    grid = cfg.parse_grid(doc)
+def _cmd_price(args, doc) -> tuple[dict, dict, bool]:
+    model, grid, head = _model(doc)
     times = cfg.parse_times(doc)
     t = cfg.require_time(times, "t")
     T = cfg.require_time(times, "T")
@@ -163,25 +169,17 @@ def _cmd_price(args, doc) -> int:
             "z_score": z_score,
         })
         mc_seed["seed"] = seed
-    write_csv(args.out / "price.csv", {key: [value] for key, value in row.items()})
-    dump_json(args.out / "summary.json", {
-        "command": "price",
-        "model": model.label,
-        "regime": grid.regime.value,
-        **row,
-        **mc_seed,
-    })
-    return EXIT_OK
+    columns = {key: [value] for key, value in row.items()}
+    return columns, {**head, **row, **mc_seed}, True
 
 
-def _cmd_curve(args, doc) -> int:
-    model = cfg.parse_model(doc)
-    grid = cfg.parse_grid(doc)
+def _cmd_curve(args, doc) -> tuple[dict, dict, bool]:
+    model, grid, head = _model(doc)
     t = cfg.require_time(cfg.parse_times(doc), "t")
     taus, _ = cfg.parse_schedule(doc, grid.regime)
     maturities = t + taus
     disc, rates = build_curves(model, None, t, maturities, grid.regime)
-    write_csv(args.out / "curve.csv", {
+    return {
         "observation_time": np.full(maturities.size, t),
         "maturity": disc.maturities,
         "log_price": disc.log_prices,
@@ -189,24 +187,19 @@ def _cmd_curve(args, doc) -> int:
         "forward": rates.forward,
         "zero": rates.zero,
         "x": rates.x,
-    })
-    dump_json(args.out / "summary.json", {
-        "command": "curve",
-        "model": model.label,
-        "regime": grid.regime.value,
+    }, {
+        **head,
         "t": t,
         "n_maturities": int(taus.size),
         "tail_maturity": float(disc.maturities[-1]),
         "tail_forward": float(rates.forward[-1]),
         "tail_zero": float(rates.zero[-1]),
         "tail_x": float(rates.x[-1]),
-    })
-    return EXIT_OK
+    }, True
 
 
-def _cmd_long_rate(args, doc) -> int:
-    model = cfg.parse_model(doc)
-    grid = cfg.parse_grid(doc)
+def _cmd_long_rate(args, doc) -> tuple[dict, dict, bool]:
+    model, grid, head = _model(doc)
     t = cfg.require_time(cfg.parse_times(doc), "t")
     taus, quantity = cfg.parse_schedule(doc, grid.regime, extract=True)
     tolerances = cfg.parse_tolerances(doc)
@@ -223,9 +216,7 @@ def _cmd_long_rate(args, doc) -> int:
     est = extract_long_rate(np.column_stack([taus, values]), method, tol)
     estimates = {"extracted": est}
     summary = {
-        "command": "long-rate",
-        "model": model.label,
-        "regime": grid.regime.value,
+        **head,
         "t": t,
         "quantity": quantity,
         "method": est.method.value,
@@ -237,13 +228,12 @@ def _cmd_long_rate(args, doc) -> int:
     }
     spectral = model._spectral()
     if spectral is not None:
-        spectral_value = spectral.value
         if quantity == "zero":
-            spectral_value = long_zero_from_x(spectral.value, grid.regime)
-        estimates["spectral"] = replace(spectral, value=spectral_value)
-        summary["spectral_value"] = spectral_value
-        summary["spectral_gap"] = abs(est.value - spectral_value)
-    write_csv(args.out / "long_rate.csv", {
+            spectral = replace(spectral, value=long_zero_from_x(spectral.value, grid.regime))
+        estimates["spectral"] = spectral
+        summary["spectral_value"] = spectral.value
+        summary["spectral_gap"] = abs(est.value - spectral.value)
+    return {
         "source": list(estimates),
         "quantity": [quantity] * len(estimates),
         "method": [e.method.value for e in estimates.values()],
@@ -251,14 +241,11 @@ def _cmd_long_rate(args, doc) -> int:
         "residual": [e.residual for e in estimates.values()],
         "T_used": [e.T_used for e in estimates.values()],
         "converged": [e.converged for e in estimates.values()],
-    })
-    dump_json(args.out / "summary.json", summary)
-    return EXIT_OK
+    }, summary, True
 
 
-def _cmd_verify_measure(args, doc) -> int:
-    model = cfg.parse_model(doc)
-    grid = cfg.parse_grid(doc)
+def _cmd_verify_measure(args, doc) -> tuple[dict, dict, bool]:
+    model, grid, head = _model(doc)
     times = cfg.parse_times(doc)
     s = cfg.require_time(times, "s")
     t = cfg.require_time(times, "t")
@@ -270,24 +257,19 @@ def _cmd_verify_measure(args, doc) -> int:
     )
     passed = report.passed(tolerances["k_sigma"], tolerances["exact_tol"])
     row = {key: getattr(report, key) for key in ("s", "t", "T", "lhs", "rhs", "gap", "se")}
-    write_csv(args.out / "measure.csv", {key: [value] for key, value in row.items()})
-    dump_json(args.out / "summary.json", {
-        "command": "verify-measure",
-        "model": model.label,
-        "regime": grid.regime.value,
+    return {key: [value] for key, value in row.items()}, {
+        **head,
         **row,
         "n": report.n,
         "exact": report.exact,
         "k_sigma": tolerances["k_sigma"],
         "exact_tol": tolerances["exact_tol"],
         "passed": passed,
-    })
-    return EXIT_OK if passed else EXIT_VERIFY
+    }, passed
 
 
-def _cmd_verify_dir(args, doc) -> int:
-    model = cfg.parse_model(doc)
-    grid = cfg.parse_grid(doc)
+def _cmd_verify_dir(args, doc) -> tuple[dict, dict, bool]:
+    model, grid, head = _model(doc)
     times = cfg.parse_times(doc)
     s = cfg.require_time(times, "s")
     t = cfg.require_time(times, "t")
@@ -300,21 +282,8 @@ def _cmd_verify_dir(args, doc) -> int:
         epsilon_multiplier=tolerances["epsilon_multiplier"],
         tol=tolerances["extraction_tol"],
     )
-    flagged = np.zeros(report.n_paths, dtype=bool)
-    flagged[report.violation_indices] = True
-    write_csv(args.out / "report.csv", {
-        "path": np.arange(report.n_paths),
-        "x_s": report.x_s,
-        "x_t": report.x_t,
-        "residual_s": report.residual_s,
-        "residual_t": report.residual_t,
-        "epsilon": report.epsilon,
-        "violation": flagged,
-    })
     summary = {
-        "command": "verify-dir",
-        "model": report.model_id,
-        "regime": grid.regime.value,
+        **head,
         "method": report.method.value,
         "s": report.s,
         "t": report.t,
@@ -330,11 +299,19 @@ def _cmd_verify_dir(args, doc) -> int:
     if report.spectral_value is not None:
         summary["spectral_value"] = report.spectral_value
         summary["spectral_gap"] = report.spectral_gap
-    dump_json(args.out / "summary.json", summary)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    paths = np.arange(report.n_paths)
+    return {
+        "path": paths,
+        "x_s": report.x_s,
+        "x_t": report.x_t,
+        "residual_s": report.residual_s,
+        "residual_t": report.residual_t,
+        "epsilon": report.epsilon,
+        "violation": np.isin(paths, report.violation_indices),
+    }, summary, report.passed
 
 
-def _cmd_lemma_lab(args, doc) -> int:
+def _cmd_lemma_lab(args, doc) -> tuple[dict, dict, bool]:
     space = cfg.parse_space(doc)
     partition = cfg.parse_partition(doc, space)
     limit = cfg.parse_rv(doc, space)
@@ -346,15 +323,13 @@ def _cmd_lemma_lab(args, doc) -> int:
     report = pnorm_liminf_bound(sequence, limit, partition, schedule,
                                 tolerances["tol"])
     steps = len(report.n_schedule)
-    write_csv(args.out / "trace.csv", {
+    return {
         "n": np.repeat(report.n_schedule, space.n_atoms),
         "atom": np.tile(np.arange(space.n_atoms), steps),
         "norm": report.norms.ravel(),
         "limit": np.tile(report.limit_values, steps),
         "verdict": np.tile(report.atom_ok, steps),
-    })
-    dump_json(args.out / "summary.json", {
-        "command": "lemma-lab",
+    }, {
         "n_atoms": space.n_atoms,
         "n_cells": partition.n_cells,
         "n_schedule": list(report.n_schedule),
@@ -364,16 +339,16 @@ def _cmd_lemma_lab(args, doc) -> int:
         "deviations": [float(v) for v in report.deviations],
         "converged": report.converged,
         "all_pass": report.all_pass,
-    })
-    return EXIT_OK if report.all_pass else EXIT_VERIFY
+    }, report.all_pass
 
 
+# subcommand -> (handler, name of its CSV in --out)
 _HANDLERS = {
-    "simulate": _cmd_simulate,
-    "price": _cmd_price,
-    "curve": _cmd_curve,
-    "long-rate": _cmd_long_rate,
-    "verify-measure": _cmd_verify_measure,
-    "verify-dir": _cmd_verify_dir,
-    "lemma-lab": _cmd_lemma_lab,
+    "simulate": (_cmd_simulate, "paths.csv"),
+    "price": (_cmd_price, "price.csv"),
+    "curve": (_cmd_curve, "curve.csv"),
+    "long-rate": (_cmd_long_rate, "long_rate.csv"),
+    "verify-measure": (_cmd_verify_measure, "measure.csv"),
+    "verify-dir": (_cmd_verify_dir, "report.csv"),
+    "lemma-lab": (_cmd_lemma_lab, "trace.csv"),
 }

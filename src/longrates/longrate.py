@@ -21,6 +21,7 @@ from .pricing import _binary_powers, build_curves
 __all__ = [
     "ExtractionMethod",
     "LongRateEstimate",
+    "NonConvergenceError",
     "extract_long_rate",
     "perron_long_rate",
     "forward_zero_gap",
@@ -52,6 +53,12 @@ class LongRateEstimate:
     residual: float
     T_used: float
     converged: bool
+
+
+class NonConvergenceError(RuntimeError):
+    """A long rate did not converge: tail extractions did not stabilize, so
+    the maturity schedule is too short, or Perron squaring did not meet its
+    tolerance within its budget of squarings."""
 
 
 def extract_long_rate(
@@ -130,7 +137,8 @@ def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate
     limiting per-period price-growth factor x from every state. The residual,
     which bounds the ratio's error, is the width of the Collatz-Wielandt
     bracket of D on v, floored at 4 * n * eps * ratio for the rounding of
-    Dv / v on n states; squaring stops once it is at most ``tol``. Requires
+    Dv / v on n states; squaring stops once it is at most ``tol``, and
+    raises NonConvergenceError if it is not after 64 squarings. Requires
     an irreducible, aperiodic chain, else the limit may not exist or may
     depend on the state.
     """
@@ -165,7 +173,9 @@ def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate
         residual = max(float(bracket.max() - bracket.min()), 4 * n * _EPS * ratio)
         if residual <= tol:
             return LongRateEstimate(ratio, ExtractionMethod.SPECTRAL, residual, 0.0, True)
-    raise RuntimeError(f"Perron squaring did not converge in {_MAX_SQUARINGS} squarings")
+    raise NonConvergenceError(
+        f"Perron squaring did not converge in {_MAX_SQUARINGS} squarings"
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .longrate import ExtractionMethod, _check_schedule, _extract_table
+from .longrate import ExtractionMethod, NonConvergenceError, _check_schedule, _extract_table
 from .models import (
     ConstantRate,
     MarkovChain,
@@ -46,10 +46,6 @@ __all__ = [
 # relative float floor added to every per-path tolerance so that exactly flat
 # curves (zero residual) still get a strictly positive epsilon
 _EPS_FLOOR = 64.0 * np.finfo(float).eps
-
-
-class NonConvergenceError(RuntimeError):
-    """Extraction did not stabilize; the maturity schedule is too short."""
 
 
 @dataclass(frozen=True, eq=False)

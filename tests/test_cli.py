@@ -9,7 +9,10 @@ from longrates.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from longrates.models import simulate_paths
 from longrates.verify import verify_dir
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from cli_matrix import README_LINES
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run_cli(*argv) -> int:
@@ -212,6 +215,8 @@ class TestLemmaLab:
         out = tmp_path / "out"
         code = run_cli("lemma-lab", "--config", strict, "--out", out)
         assert code == EXIT_VERIFY
+        # a failed verdict still writes both result files
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.csv"]
         summary = read_summary(out)
         assert summary["all_pass"] is False
         assert summary["converged"] is True
@@ -222,6 +227,74 @@ class TestLemmaLab:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run_cli("lemma-lab", "--config", bad, "--out", tmp_path) == EXIT_USAGE
+
+
+RESULT_CSV = {
+    "simulate": "paths.csv", "price": "price.csv", "curve": "curve.csv",
+    "long-rate": "long_rate.csv", "verify-measure": "measure.csv",
+    "verify-dir": "report.csv", "lemma-lab": "trace.csv",
+}
+
+
+def edited_config(tmp_path, name, section, key, value) -> Path:
+    doc = json.loads((CONFIGS / name).read_text())
+    doc[section][key] = value
+    path = tmp_path / f"edited_{name}"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestResultContract:
+    """Every run that reaches a verdict leaves exactly its CSV and
+    summary.json in --out; a run that stops before one leaves neither."""
+
+    @pytest.mark.parametrize("name", README_LINES)
+    def test_readme_line_writes_its_csv_and_summary(self, tmp_path, monkeypatch, name):
+        argv = README_LINES[name]
+        monkeypatch.chdir(ROOT)  # the README's config paths are relative
+        out = tmp_path / name
+        assert run_cli(*argv, "--out", out) == EXIT_OK
+        command = argv[0]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [RESULT_CSV[command], "summary.json"])
+        summary = read_summary(out)
+        head = ["command"] if command == "lemma-lab" else ["command", "model", "regime"]
+        assert list(summary)[:len(head)] == head
+        assert summary["command"] == command
+
+    def test_aborted_extraction_writes_neither_file(self, tmp_path, capsys):
+        strict = edited_config(tmp_path, "markov2.json", "tolerances",
+                               "extraction_tol", 0.0)
+        out = tmp_path / "out"
+        assert run_cli("verify-dir", "--config", strict, "--out", out) == EXIT_VERIFY
+        assert "verify-dir: verification aborted: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["long-rate", "verify-dir"])
+    def test_unconverged_perron_root_aborts_without_a_traceback(
+        self, tmp_path, capsys, command
+    ):
+        # a valid chain, primitive but so nearly periodic that squaring stalls
+        config = edited_config(tmp_path, "markov2.json", "model", "transition",
+                               [[1e-30, 1.0], [1.0, 1e-30]])
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--out", out) == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert err.startswith(f"longrates {command}: verification aborted: "
+                              "Perron squaring did not converge")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        code = run_cli("simulate", "--config", CONFIGS / "constant.json",
+                       "--out", taken)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("longrates simulate: cannot write --out: ")
+        assert err.count("\n") == 1
+        assert taken.read_text() == "not a directory"
 
 
 class TestErrorHandling:
