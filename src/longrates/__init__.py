@@ -46,9 +46,8 @@ from .models import (
     simulate_paths,
 )
 from .pricing import (
-    DiscountCurve,
+    Curve,
     McEstimate,
-    RateCurve,
     build_curves,
     chain_log_prices,
     curves_from_log_prices,
@@ -80,7 +79,7 @@ __all__ = [
     "tower_identity_check",
     "ConstantRate", "MarkovChain", "PoissonJump", "Regime", "ScenarioSet",
     "TimeGrid", "path_rng", "simulate_paths",
-    "DiscountCurve", "McEstimate", "RateCurve", "build_curves",
+    "Curve", "McEstimate", "build_curves",
     "chain_log_prices", "curves_from_log_prices", "log_price_closed_form",
     "price_closed_form", "price_mc", "short_rate_consistency",
     "MonotonicityReport", "NonConvergenceError", "PoissonExampleReport",

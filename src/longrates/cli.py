@@ -178,23 +178,23 @@ def _cmd_curve(args, doc) -> tuple[dict, dict, bool]:
     t = cfg.require_time(cfg.parse_times(doc), "t")
     taus, _ = cfg.parse_schedule(doc, grid.regime)
     maturities = t + taus
-    disc, rates = build_curves(model, None, t, maturities, grid.regime)
+    curve = build_curves(model, None, t, maturities, grid.regime)
     return {
         "observation_time": np.full(maturities.size, t),
-        "maturity": disc.maturities,
-        "log_price": disc.log_prices,
-        "price": disc.prices(),
-        "forward": rates.forward,
-        "zero": rates.zero,
-        "x": rates.x,
+        "maturity": curve.maturities,
+        "log_price": curve.log_prices,
+        "price": curve.prices(),
+        "forward": curve.forward,
+        "zero": curve.zero,
+        "x": curve.x,
     }, {
         **head,
         "t": t,
         "n_maturities": int(taus.size),
-        "tail_maturity": float(disc.maturities[-1]),
-        "tail_forward": float(rates.forward[-1]),
-        "tail_zero": float(rates.zero[-1]),
-        "tail_x": float(rates.x[-1]),
+        "tail_maturity": float(curve.maturities[-1]),
+        "tail_forward": float(curve.forward[-1]),
+        "tail_zero": float(curve.zero[-1]),
+        "tail_x": float(curve.x[-1]),
     }, True
 
 
@@ -211,8 +211,8 @@ def _cmd_long_rate(args, doc) -> tuple[dict, dict, bool]:
         if args.tol < 0:
             raise cfg.ConfigError("--tol must be non-negative")
         tol = args.tol
-    _, rates = build_curves(model, None, t, t + taus, grid.regime)
-    values = rates.x if quantity == "x" else rates.zero
+    curve = build_curves(model, None, t, t + taus, grid.regime)
+    values = curve.x if quantity == "x" else curve.zero
     est = extract_long_rate(np.column_stack([taus, values]), method, tol)
     estimates = {"extracted": est}
     summary = {

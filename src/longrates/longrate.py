@@ -127,6 +127,10 @@ def _intercepts(taus: np.ndarray, curves: np.ndarray) -> np.ndarray:
 
 _MAX_SQUARINGS = 64  # v has then taken 2^64 - 1 steps of D
 _EPS = np.finfo(float).eps
+# relative float floor of the violation rule, added to every per-path
+# tolerance so that exactly flat curves (zero residual) still get a strictly
+# positive epsilon
+_EPS_FLOOR = 64.0 * _EPS
 
 
 def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate:
@@ -193,7 +197,7 @@ class ForwardZeroGap:
     def is_decreasing(self) -> bool:
         # gaps at float-noise level (identical curves) may wiggle by a few ulp,
         # so allow the same absolute floor the violation rule uses
-        slack = 64.0 * np.finfo(float).eps * max(1.0, float(self.gaps.max(initial=0.0)))
+        slack = _EPS_FLOOR * max(1.0, float(self.gaps.max(initial=0.0)))
         return bool(np.all(np.diff(self.gaps) <= slack))
 
 
@@ -201,9 +205,8 @@ def forward_zero_gap(
     model: ModelSpec, state, t: float, maturities
 ) -> ForwardZeroGap:
     """Gap between forward and zero curves from one state, per maturity."""
-    _, rates = build_curves(model, state, t, maturities, Regime.DISCRETE)
-    gaps = np.abs(rates.forward - rates.zero)
-    return ForwardZeroGap(rates.maturities, gaps)
+    curve = build_curves(model, state, t, maturities, Regime.DISCRETE)
+    return ForwardZeroGap(curve.maturities, np.abs(curve.forward - curve.zero))
 
 
 def long_zero_from_x(x_long: float, regime: Regime) -> float:

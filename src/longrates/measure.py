@@ -47,9 +47,8 @@ class ForwardWeights:
         The population mean is exactly 1 by construction, so a sample mean
         many standard errors away signals a pricing or weighting bug.
         """
-        mean = float(self.weights.mean())
-        se = float(self.weights.std(ddof=1) / math.sqrt(self.n))
-        return mean, se
+        est = McEstimate.of(self.weights)
+        return est.value, est.std_error
 
 
 def rn_weights(scenarios: ScenarioSet, s: float, t: float, price_s_t: float) -> ForwardWeights:

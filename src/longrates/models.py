@@ -334,9 +334,8 @@ class PoissonJump(_Model):
             for r_end in ends.tolist()
         ])
         samples = scen.discounts(0.0, window) * prices[per_path.ravel()]
-        rhs = float(samples.mean())
-        se = float(samples.std(ddof=1) / math.sqrt(n))
-        return lhs, rhs, rhs - lhs, se, n, False
+        rhs = pricing.McEstimate.of(samples)
+        return lhs, rhs.value, rhs.value - lhs, rhs.std_error, n, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,9 +441,8 @@ class MarkovChain(_Model):
         from . import pricing
 
         n_st, n_sT = _periods(s, (t, T)).tolist()
-        lp = pricing.chain_log_prices(self, [n_sT, n_sT - n_st])
+        lp, powers = pricing._chain_log_prices_and_powers(self, [n_sT, n_sT - n_st])
         lhs_vec = np.exp(lp[n_sT])
-        powers = pricing._binary_powers(self.discounted_transition())
         v, log_scale = pricing._advance(powers, np.exp(lp[n_sT - n_st]), n_st)
         rhs_vec = v * math.exp(log_scale)
         gap = float(np.abs(rhs_vec - lhs_vec).max())

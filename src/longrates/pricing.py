@@ -2,7 +2,10 @@
 
 Prices are computed and stored in the log domain; exponentiation happens only
 at output boundaries. Long-maturity prices decay geometrically, so working in
-logs keeps curves finite far beyond where raw prices would underflow.
+logs keeps curves finite far beyond where raw prices would underflow. One
+`Curve` holds the log prices on a maturity grid together with the forward,
+zero and price-growth (x) curves read off them; `build_curves` prices it from
+a model state and `curves_from_log_prices` from supplied log prices.
 
 Monte Carlo pricing restarts the simulation from the conditioning state.
 Every supported model is Markov in its state, so the conditional expectation
@@ -30,8 +33,7 @@ from .models import (
 
 __all__ = [
     "McEstimate",
-    "DiscountCurve",
-    "RateCurve",
+    "Curve",
     "log_price_closed_form",
     "price_closed_form",
     "chain_log_prices",
@@ -50,6 +52,12 @@ class McEstimate:
     std_error: float
     n: int
 
+    @classmethod
+    def of(cls, samples: np.ndarray) -> McEstimate:
+        """Sample mean of a vector of draws and its standard error."""
+        n = int(samples.size)
+        return cls(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)), n)
+
     def z_score(self, reference: float) -> float:
         """Standard errors from a reference value; agreement at float
         precision is exact (0.0), so degenerate samples cannot turn rounding
@@ -63,59 +71,22 @@ class McEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscountCurve:
-    """Log zero-coupon prices observed at one time from one model state."""
-
-    observation_time: float
-    state: object
-    maturities: np.ndarray
-    log_prices: np.ndarray
-    regime: Regime
-
-    def __post_init__(self) -> None:
-        mats = np.asarray(self.maturities, dtype=float)
-        lp = np.asarray(self.log_prices, dtype=float)
-        object.__setattr__(self, "maturities", mats)
-        object.__setattr__(self, "log_prices", lp)
-        if mats.ndim != 1 or mats.size == 0 or lp.shape != mats.shape:
-            raise ValueError("maturities and log_prices must be aligned vectors")
-        if np.any(np.diff(mats) <= 0):
-            raise ValueError("maturities must be strictly increasing")
-        if mats[0] <= self.observation_time:
-            raise ValueError("maturities must exceed the observation time")
-        if not np.all(np.isfinite(lp)):
-            raise ValueError("log prices must be finite")
-
-    def prices(self) -> np.ndarray:
-        return np.exp(self.log_prices)
-
-
-@dataclass(frozen=True, eq=False)
-class RateCurve:
-    """Forward, zero, and price-growth (x) curves on a shared maturity grid.
+class Curve:
+    """Log zero-coupon prices on a maturity grid, with the forward, zero and
+    price-growth (x) curves derived from them.
 
     x(t, T) = exp(log P(t, T) / T) is the per-period growth factor whose
     asymptote in T encodes the long rate.
     """
 
-    observation_time: float
-    state: object
     maturities: np.ndarray
+    log_prices: np.ndarray
     forward: np.ndarray
     zero: np.ndarray
     x: np.ndarray
-    regime: Regime
 
-    def __post_init__(self) -> None:
-        mats = np.asarray(self.maturities, dtype=float)
-        object.__setattr__(self, "maturities", mats)
-        for name in ("forward", "zero", "x"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            if arr.shape != mats.shape:
-                raise ValueError(f"{name} must align with maturities")
-        if np.any(self.x <= 0):
-            raise ValueError("x values must be positive")
+    def prices(self) -> np.ndarray:
+        return np.exp(self.log_prices)
 
 
 def log_price_closed_form(
@@ -141,6 +112,12 @@ def chain_log_prices(model: MarkovChain, horizons) -> dict[int, np.ndarray]:
     binary power of D per set bit of n, so a horizon's prices do not depend
     on which other horizons are asked for.
     """
+    return _chain_log_prices_and_powers(model, horizons)[0]
+
+
+def _chain_log_prices_and_powers(model: MarkovChain, horizons) -> tuple[dict, list]:
+    """`chain_log_prices`, and the binary powers of D it took, so that a
+    caller can carry further vectors with `_advance` without squaring again."""
     want = sorted({int(n) for n in horizons})
     if want and want[0] < 0:
         raise ValueError("horizons must be non-negative")
@@ -150,7 +127,7 @@ def chain_log_prices(model: MarkovChain, horizons) -> dict[int, np.ndarray]:
     for n in want:
         v, log_scale = _advance(powers, np.ones(model.n_states), n)
         out[n] = log_scale + np.log(v)
-    return out
+    return out, powers
 
 
 def _binary_powers(power: np.ndarray):
@@ -199,19 +176,16 @@ def price_mc(
         model.conditioned(state), _window_grid(regime, window), n, seed,
         stream=STREAM_PRICING,
     )
-    samples = scen.discounts(0, window)
-    value = float(samples.mean())
-    std_error = float(samples.std(ddof=1) / math.sqrt(n))
-    return McEstimate(value, std_error, n)
+    return McEstimate.of(scen.discounts(0, window))
 
 
 def build_curves(
     model: ModelSpec, state, t: float, maturities, regime: Regime
-) -> tuple[DiscountCurve, RateCurve]:
-    """Closed-form discount and rate curves at t from the given state.
+) -> Curve:
+    """Closed-form curve at t from the given state.
 
     Discrete forward rates need the price one period past each maturity, so
-    successor maturities are priced internally; the returned curves cover
+    successor maturities are priced internally; the returned curve covers
     exactly the requested grid. Continuous forward rates use central finite
     differences in maturity (one-sided at the ends), which needs at least
     two maturities.
@@ -226,25 +200,19 @@ def build_curves(
             raise ValueError("discrete maturities must be integers")
         both = np.concatenate([mats, mats + 1])
         lp = model.log_price_table([state], t, both, regime)[0]
-        return _curves(t, state, mats, lp[: mats.size], regime, lp[mats.size :])
+        return _curves(t, mats, lp[: mats.size], regime, lp[mats.size :])
     if mats.size < 2:
         raise ValueError("continuous curves need at least two maturities")
     lp = model.log_price_table([state], t, mats, regime)[0]
-    return _curves(t, state, mats, lp, regime)
+    return _curves(t, mats, lp, regime)
 
 
-def curves_from_log_prices(
-    t: float,
-    maturities,
-    log_prices,
-    regime: Regime,
-    state=None,
-) -> tuple[DiscountCurve, RateCurve]:
-    """Curves from externally supplied log prices (synthetic or tabulated).
+def curves_from_log_prices(t: float, maturities, log_prices, regime: Regime) -> Curve:
+    """Curve from externally supplied log prices (synthetic or tabulated).
 
     In the discrete regime the maturities must be consecutive integers and
     the last one is consumed as the successor needed by the final forward
-    rate, so the returned curves stop one period earlier.
+    rate, so the returned curve stops one period earlier.
     """
     mats = np.asarray(maturities, dtype=float)
     lp = np.asarray(log_prices, dtype=float)
@@ -257,8 +225,8 @@ def curves_from_log_prices(
                 "discrete curves need consecutive integer maturities; the "
                 "forward rate at T uses the price at T + 1"
             )
-        return _curves(t, state, mats[:-1], lp[:-1], regime, lp[1:])
-    return _curves(t, state, mats, lp, regime)
+        return _curves(t, mats[:-1], lp[:-1], regime, lp[1:])
+    return _curves(t, mats, lp, regime)
 
 
 def _check_maturities(t, mats: np.ndarray) -> None:
@@ -268,11 +236,11 @@ def _check_maturities(t, mats: np.ndarray) -> None:
         raise ValueError("maturities must exceed the observation time")
 
 
-def _curves(
-    t, state, mats: np.ndarray, lp: np.ndarray, regime: Regime, lp_next=None
-) -> tuple[DiscountCurve, RateCurve]:
-    """Curves from log prices on the maturity grid; a discrete forward rate
+def _curves(t, mats: np.ndarray, lp: np.ndarray, regime: Regime, lp_next=None) -> Curve:
+    """Curve from log prices on the maturity grid; a discrete forward rate
     at T takes the log price at T + 1 from lp_next."""
+    if not np.all(np.isfinite(lp)):
+        raise ValueError("log prices must be finite")
     if regime is Regime.DISCRETE:
         forward = np.expm1(lp - lp_next)
         zero = np.expm1(-lp / (mats - t))
@@ -283,9 +251,9 @@ def _curves(
         forward[-1] = -(lp[-1] - lp[-2]) / (mats[-1] - mats[-2])
         zero = -lp / (mats - t)
     x = np.exp(lp / mats)
-    disc = DiscountCurve(float(t), state, mats, lp, regime)
-    rates = RateCurve(float(t), state, mats, forward, zero, x, regime)
-    return disc, rates
+    if np.any(x <= 0):
+        raise ValueError("x values must be positive")
+    return Curve(mats, lp, forward, zero, x)
 
 
 def short_rate_consistency(

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .longrate import ExtractionMethod, NonConvergenceError, _check_schedule, _extract_table
+from .longrate import (
+    _EPS_FLOOR,
+    ExtractionMethod,
+    NonConvergenceError,
+    _check_schedule,
+    _extract_table,
+)
 from .models import (
     ConstantRate,
     MarkovChain,
@@ -42,10 +48,6 @@ __all__ = [
     "FleetMember",
     "standard_fleet",
 ]
-
-# relative float floor added to every per-path tolerance so that exactly flat
-# curves (zero residual) still get a strictly positive epsilon
-_EPS_FLOOR = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)

@@ -85,7 +85,7 @@ def test_criterion_1_poisson_pricing_oracle():
 def test_criterion_2_long_rate_convergence():
     with criterion(2, "long zero rate reaches r0 + intensity = 0.55", 1.0):
         taus = np.array([125.0, 250.0, 500.0, 1000.0])
-        _, rates = build_curves(POISSON, None, 0.0, taus, Regime.CONTINUOUS)
+        rates = build_curves(POISSON, None, 0.0, taus, Regime.CONTINUOUS)
         pairs = np.column_stack([taus, rates.zero])
         plain = extract_long_rate(pairs, ExtractionMethod.PLAIN_TAIL)
         # analytic tail gap is intensity/(delta*tau) = 0.005 at tau = 1000
@@ -102,7 +102,7 @@ def test_criterion_3_spectral_oracle_agreement():
         z_long = long_zero_from_x(spectral.value, Regime.DISCRETE)
         assert abs(z_long - 1.0 / 21.0) <= 1e-12
         taus = np.array([62.0, 125.0, 250.0, 500.0])
-        _, rates = build_curves(SYM2, None, 0, taus, Regime.DISCRETE)
+        rates = build_curves(SYM2, None, 0, taus, Regime.DISCRETE)
         est = extract_long_rate(np.column_stack([taus, rates.x]))
         assert abs(est.value - spectral.value) <= 1e-6
 

@@ -236,7 +236,7 @@ class TestPerron:
     def test_extraction_agrees_with_spectral_oracle(self):
         taus = np.array([62, 125, 250, 500])
         for chain in (SYM2, CHAIN3, CHAIN4):
-            _, rates = build_curves(chain, None, 0, taus, Regime.DISCRETE)
+            rates = build_curves(chain, None, 0, taus, Regime.DISCRETE)
             est = extract_long_rate(pairs(taus, rates.x))
             assert abs(est.value - perron_long_rate(chain).value) <= 1e-6
 

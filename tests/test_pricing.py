@@ -18,7 +18,6 @@ from longrates.models import (
     simulate_paths,
 )
 from longrates.pricing import (
-    DiscountCurve,
     McEstimate,
     build_curves,
     chain_log_prices,
@@ -334,8 +333,8 @@ class TestPriceMc:
 class TestCurves:
     def test_discrete_identities_and_reconstruction(self):
         mats = np.arange(1, 31)
-        disc, rates = build_curves(CHAIN3, None, 0, mats, Regime.DISCRETE)
-        prices = disc.prices()
+        rates = build_curves(CHAIN3, None, 0, mats, Regime.DISCRETE)
+        prices = rates.prices()
         next_prices = np.array(
             [price_closed_form(CHAIN3, None, 0, int(T) + 1, Regime.DISCRETE)
              for T in mats]
@@ -350,14 +349,14 @@ class TestCurves:
         assert np.allclose(rebuilt, prices, rtol=1e-10)
 
     def test_observation_time_shifts_discrete_curve(self):
-        _, at0 = build_curves(SYM2, 1, 0, [5, 6, 7, 8], Regime.DISCRETE)
-        _, at2 = build_curves(SYM2, 1, 2, [7, 8, 9, 10], Regime.DISCRETE)
+        at0 = build_curves(SYM2, 1, 0, [5, 6, 7, 8], Regime.DISCRETE)
+        at2 = build_curves(SYM2, 1, 2, [7, 8, 9, 10], Regime.DISCRETE)
         # same time-to-maturity from the same state: identical forwards
         assert np.allclose(at0.forward, at2.forward, atol=1e-15)
 
     def test_continuous_forward_matches_analytic_derivative(self):
         mats = np.linspace(1.0, 41.0, 41)
-        _, rates = build_curves(POISSON, None, 0.0, mats, Regime.CONTINUOUS)
+        rates = build_curves(POISSON, None, 0.0, mats, Regime.CONTINUOUS)
         analytic = 0.05 + 0.5 - 0.5 * np.exp(-0.1 * mats)
         # central differences: error h^2 |f''| / 6 <= 8.4e-4 here, O(h) at ends
         assert np.max(np.abs(rates.forward[1:-1] - analytic[1:-1])) <= 1e-3
@@ -370,9 +369,9 @@ class TestCurves:
         mats = np.arange(1, 6)
         lp = np.array([log_price_closed_form(SYM2, None, 0, int(T), Regime.DISCRETE)
                        for T in mats])
-        disc, rates = curves_from_log_prices(0, mats, lp, Regime.DISCRETE)
+        rates = curves_from_log_prices(0, mats, lp, Regime.DISCRETE)
         assert rates.maturities.tolist() == [1, 2, 3, 4]
-        direct = build_curves(SYM2, None, 0, mats[:-1], Regime.DISCRETE)[1]
+        direct = build_curves(SYM2, None, 0, mats[:-1], Regime.DISCRETE)
         assert np.allclose(rates.forward, direct.forward, atol=1e-15)
 
     def test_curves_from_log_prices_requires_consecutive_integers(self):
@@ -388,7 +387,7 @@ class TestCurves:
         for top in horizons:
             mats = np.linspace(top / 200.0, top, 400)
             lp = -(0.05 * mats + np.log1p(mats))
-            _, rates = curves_from_log_prices(0.0, mats, lp, Regime.CONTINUOUS)
+            rates = curves_from_log_prices(0.0, mats, lp, Regime.CONTINUOUS)
             gaps.append(abs(rates.forward[-1] - rates.zero[-1]))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1.1e-4
@@ -405,9 +404,14 @@ class TestCurves:
 
     def test_discount_curve_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="finite"):
-            DiscountCurve(0.0, None, [1.0, 2.0], [-0.1, -np.inf], Regime.CONTINUOUS)
+            curves_from_log_prices(0.0, [1.0, 2.0], [-0.1, -np.inf], Regime.CONTINUOUS)
         with pytest.raises(ValueError, match="increasing"):
-            DiscountCurve(0.0, None, [2.0, 1.0], [-0.1, -0.2], Regime.CONTINUOUS)
+            curves_from_log_prices(0.0, [2.0, 1.0], [-0.1, -0.2], Regime.CONTINUOUS)
+
+    def test_curve_rejects_x_that_underflows_to_zero(self):
+        # finite log price, but exp(-1e6 / 1) is 0.0 in double precision
+        with pytest.raises(ValueError, match="x values must be positive"):
+            curves_from_log_prices(0.0, [1.0, 2.0], [-1e6, -0.2], Regime.CONTINUOUS)
 
 
 class TestShortRateConsistency:

@@ -52,7 +52,7 @@ def per_path_reference(model, s, t, n_paths, seed, regime):
 
     def estimate(obs, state):
         if (obs, state) not in cache:
-            _, rates = build_curves(model, state, obs, obs + taus, regime)
+            rates = build_curves(model, state, obs, obs + taus, regime)
             cache[obs, state] = extract_long_rate(np.column_stack([taus, rates.x]))
         return cache[obs, state]
 
@@ -278,7 +278,7 @@ class TestPoissonExample:
         taus = np.asarray(SCHEDULE, dtype=float)
         gaps, bounds = [], []
         for state in np.unique(states).tolist():
-            _, rates = build_curves(model, state, t, t + taus, Regime.CONTINUOUS)
+            rates = build_curves(model, state, t, t + taus, Regime.CONTINUOUS)
             est = extract_long_rate(np.column_stack([taus, rates.zero]))
             rate_now = model.rate_of(state)
             target = rate_now + 0.5 if delta > 0 else rate_now
