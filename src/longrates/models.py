@@ -36,13 +36,14 @@ constant model. None always means the initial state.
 Per-path randomness is keyed by ``(seed, stream, path_index)`` through the
 counter-based Philox generator. A scenario set is therefore a pure function
 of its arguments: re-running with the same seed reproduces it bit for bit,
-independent of execution order. No generator is built per path: one numpy
-pass of Philox4x64-10 draws a block of four uniforms for every path at
-once, exactly the numbers ``path_rng(seed, stream, i).random()`` gives.
-Chain steps take one uniform each and advance every path at once. A jump
-path takes its Poisson jump count from its first uniform, by inverse CDF,
-and its jump times from the next ones, sorted and scaled to the horizon;
-only paths with more jumps draw further blocks.
+independent of execution order. No generator is built per path: `philox`
+computes Philox4x64-10 in place on preallocated uint64 lanes, a block of
+four uniforms for every path of a pass at once, exactly the numbers
+``path_rng(seed, stream, i).random()`` gives. Chain steps take one uniform
+each and advance every path at once. A jump path takes its Poisson jump
+count from its first uniform, by inverse CDF, and its jump times from the
+next ones, sorted and scaled to the horizon; a pass draws each later block
+once, for the paths with that many jumps.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
+
+from . import philox
 
 __all__ = [
     "Regime",
@@ -72,9 +75,11 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _ROW_SUM_TOL = 1e-12
-# float entries that one pass of the jump sampler or of continuous
-# discounts may hold in temporary arrays
+# float entries that one pass of a sampler or of continuous discounts may
+# hold in temporary arrays
 _CELLS = 1 << 17
+# paths in one sampler pass, each with seven Philox lanes and a jump's draws
+_PASS = _CELLS // 16
 
 # Stream tags keep generators drawn for different purposes out of each
 # other's key space even when they share a user seed.
@@ -276,41 +281,49 @@ class PoissonJump(_Model):
         u[0] gives its jump count N_i ~ Poisson(intensity * horizon) by
         inverse CDF (`_poisson_cdf`), and its jump times are
         ``horizon * sort(u[1:])``, as N_i jumps of a Poisson process fall
-        like N_i sorted uniforms. Every path draws the first block of four
-        uniforms; a later block is drawn only for the paths whose count
-        reaches into it."""
+        like N_i sorted uniforms. A pass of `_PASS` paths draws each block
+        of four uniforms in one Philox call, for the paths whose count
+        reaches into it; uniform c >= 1 goes straight to its output slot,
+        jump c - 1, and the slots are sorted in sub-passes sized from the
+        pass's largest count."""
         horizon = float(grid.horizon)
         mean = self.intensity * horizon
         cdf = _poisson_cdf(mean)
-        # no count exceeds the table's end, so a pass's (paths, draws)
-        # matrix stays within _CELLS entries
-        rows = max(1, _CELLS // (cdf.size + 4))
         offsets = np.zeros(n + 1, dtype=np.int64)
         # one flat buffer, grown only past ten standard deviations
         flat = np.empty(int(n * mean + 10.0 * math.sqrt(n * mean)) + 16)
-        end = 0
-        for lo in range(0, n, rows):
-            index = np.arange(lo, min(n, lo + rows))
-            first = _uniforms(seed, stream, index, 4)
-            counts = cdf.searchsorted(first[:, 0], side="right")
+        for lo in range(0, n, _PASS):
+            index = np.arange(lo, min(n, lo + _PASS), dtype=np.uint64)
+            block = _uniforms(seed, stream, index, 4)
+            counts = cdf.searchsorted(block[:, 0], side="right")
             np.minimum(counts, cdf.size - 1, out=counts)
-            u = np.empty((index.size, 4 * (int(counts.max()) // 4 + 1)))
-            u[:, :4] = first
-            for col in range(4, u.shape[1], 4):
-                need = np.flatnonzero(counts >= col)
-                u[need, col : col + 4] = _uniforms(seed, stream, index[need], 4, col)
-            jumps = u[:, 1:]
-            used = np.arange(jumps.shape[1]) < counts[:, None]
-            jumps[~used] = np.inf  # unused draws sort last
-            jumps.sort(axis=1)
-            total = int(counts.sum())
-            if end + total > flat.size:
-                flat = np.concatenate([flat[:end], np.empty(flat.size + total)])
-            np.multiply(horizon, jumps[used], out=flat[end : end + total])
-            offsets[lo + 1 : lo + 1 + index.size] = end + np.cumsum(counts)
-            end += total
+            ends = offsets[lo + 1 : lo + 1 + index.size]
+            ends[:] = offsets[lo] + np.cumsum(counts)
+            if ends[-1] > flat.size:
+                flat = np.concatenate([flat, np.empty(ends[-1])])
+            slots = ends - counts - 1  # plus c: the slot of uniform c
+            top = int(counts.max())
+            for col in range(0, top + 1, 4):
+                paths = np.flatnonzero(counts >= col)
+                if col:
+                    block = _uniforms(seed, stream, index[paths], 4, col)
+                for word in range(0 if col else 1, 4):  # uniform 0 is the count
+                    hit = np.flatnonzero(counts[paths] >= col + word)
+                    flat[slots[paths[hit]] + (col + word)] = block[hit, word]
+                del block  # before the next block is drawn
+            # sorted in (paths, top) matrices of at most _CELLS / 8 cells,
+            # where a path's unused cells are infinite and so sort last
+            step = max(1, _CELLS // 8 // max(1, top))
+            for first in range(0, index.size, step):
+                part = slice(first, first + step)
+                span = flat[ends[first] - counts[first] : ends[part][-1]]
+                jumps = np.full((counts[part].size, top), np.inf)
+                used = np.arange(top) < counts[part, None]
+                jumps[used] = span
+                jumps.sort(axis=1)
+                np.multiply(horizon, jumps[used], out=span)
         return ScenarioSet(
-            grid, level=self.r0, jump=self.delta, jump_times=flat[:end],
+            grid, level=self.r0, jump=self.delta, jump_times=flat[: offsets[-1]],
             offsets=offsets,
         )
 
@@ -420,7 +433,7 @@ class MarkovChain(_Model):
         state, and uniforms are drawn four steps at a time, so no temporary
         grows with n_paths times n_states or n_steps."""
         n_steps = int(grid.horizon)
-        index = np.arange(n)
+        index = np.arange(n, dtype=np.uint64)
         cum = np.cumsum(self.transition, axis=1)
         states = np.empty((n, n_steps + 1), dtype=np.int64)
         states[:, 0] = self.initial_state
@@ -637,47 +650,6 @@ def _poisson_cdf(mean: float) -> np.ndarray:
     return np.cumsum(np.exp(log_pmf))
 
 
-# Philox4x64-10 (Salmon et al., SC 2011), the bit generator of `path_rng`:
-# its multipliers and key increments, as columns for the two lanes that
-# each round multiplies
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-# paths per Philox pass: enough to amortise each numpy call, few enough
-# that the pass's dozen (2, paths) temporaries stay small
-_CHUNK = 1 << 11
-
-
-def _mulhi(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products x * m, from 32-bit halves."""
-    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    mid = x_lo * m_hi + ((x_lo * m_lo) >> _SHIFT32)
-    carry = x_hi * m_lo + (mid & _LOW32)
-    return x_hi * m_hi + (mid >> _SHIFT32) + (carry >> _SHIFT32)
-
-
-def _philox(key: int, index: np.ndarray, block: int) -> tuple:
-    """The four words of Philox4x64-10 on counter (block, 0, 0, 0) under
-    the keys (key, index[j]), one array per word.
-
-    A round maps the words (x0, x1, x2, x3) under the keys (k0, k1) to
-    (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)); here
-    the rows of `mul` hold (x0, x2) and those of `xor` hold (x1, x3).
-    """
-    keys = np.empty((2, index.size), dtype=np.uint64)
-    keys[0], keys[1] = key, index
-    mul = np.zeros((2, index.size), dtype=np.uint64)
-    mul[0] = block
-    xor = np.zeros_like(mul)
-    for r in range(10):
-        if r:
-            keys += _PHILOX_W
-        mul, xor = _mulhi(mul, _PHILOX_M)[::-1] ^ xor ^ keys, (mul * _PHILOX_M)[::-1]
-    return mul[0], xor[0], mul[1], xor[1]
-
-
 def _uniforms(seed: int, stream: int, index, k: int, first: int = 0) -> np.ndarray:
     """Uniforms first .. first + k - 1 of each path's stream, one row per
     path index: row i of ``_uniforms(seed, stream, index, k)`` is
@@ -685,16 +657,15 @@ def _uniforms(seed: int, stream: int, index, k: int, first: int = 0) -> np.ndarr
 
     A fresh Philox generator fills its four-word buffer from counter
     (1, 0, 0, 0), then (2, 0, 0, 0), and so on, and a uniform is
-    (word >> 11) * 2**-53. Here each counter block runs for every path at
-    once, in passes of `_CHUNK` paths.
+    (word >> 11) * 2**-53. Here `philox._philox` runs each counter block for
+    every path of a pass at once, in passes of at most `_PASS` paths.
     """
     index = np.asarray(index, dtype=np.uint64)
     key = (int(seed) ^ int(stream)) & _MASK64
     blocks = range(first // 4 + 1, -(-(first + k) // 4) + 1)
     out = np.empty((index.size, 4 * len(blocks)))
-    for lo in range(0, index.size, _CHUNK):
-        rows = out[lo : lo + _CHUNK].reshape(-1, len(blocks), 4)
-        for j, block in enumerate(blocks):
-            for lane, word in enumerate(_philox(key, index[lo : lo + _CHUNK], block)):
-                rows[:, j, lane] = (word >> np.uint64(11)) * 2.0**-53
+    # equal passes, so that none is a small remainder
+    rows = -(-index.size // max(1, -(-index.size // _PASS))) or 1
+    for lo in range(0, index.size, rows):
+        philox._philox(key, index[lo : lo + rows], blocks, out[lo : lo + rows])
     return out[:, :k]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from longrates.models import (
     STREAM_PRICING,
     ScenarioSet,
     TimeGrid,
+    _PASS,
     _uniforms,
     path_rng,
     simulate_paths,
@@ -305,6 +307,135 @@ class TestKeyedSampler:
         for s, t in ((0.0, 10.0), (0.0, 9.5)):
             want = [math.exp(-integral_by_hand(0.02, 0.7, p, s, t)) for p in paths]
             assert scen.discounts(s, t).tolist() == want
+
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [STREAM_PATHS, STREAM_CONTINUATION])
+    def test_rows_on_both_sides_of_each_pass_edge(self, seed, stream):
+        # one pass and three paths run as two equal passes; the last path
+        # has the largest index
+        n = _PASS + 3
+        index = np.arange(n, dtype=np.uint64)
+        index[-1] = 2**64 - 1
+        got = _uniforms(seed, stream, index, 9)
+        assert got.shape == (n, 9)
+        half = -(-n // 2)
+        for row in (0, 1, half - 1, half, _PASS - 1, _PASS, n - 1):
+            want = path_rng(seed, stream, int(index[row])).random(9)
+            assert np.array_equal(got[row], want), row
+
+    @pytest.mark.parametrize("first", [8, 20, 32, 36])
+    def test_blocks_up_to_the_tenth(self, first):
+        index = [0, 9, 2**64 - 1]
+        want = [path_rng(11, STREAM_PRICING, i).random(first + 5)[first:]
+                for i in index]
+        assert np.array_equal(_uniforms(11, STREAM_PRICING, index, 5, first), want)
+
+    def test_a_far_block(self):
+        # block 2**20: the reference skips the 2**20 - 1 blocks before it
+        first = 4 * (2**20 - 1)
+        for i in (0, 2**64 - 1):
+            rng = path_rng(2**64 - 1, STREAM_PATHS, i)
+            rng.bit_generator.advance(first // 4)
+            got = _uniforms(2**64 - 1, STREAM_PATHS, [i], 6, first)
+            assert np.array_equal(got[0], rng.random(6))
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.sampled_from([STREAM_PATHS, STREAM_PRICING, STREAM_CONTINUATION]),
+        n=st.integers(1, 2 * _PASS + 5),
+        k=st.integers(1, 9),
+        first=st.integers(0, 9).map(lambda block: 4 * block),
+        data=st.data(),
+    )
+    def test_any_stream_matches_path_rng(self, seed, stream, n, k, first, data):
+        base = data.draw(st.integers(0, 2**64 - n), label="base")
+        index = base + np.arange(n, dtype=np.uint64)
+        got = _uniforms(seed, stream, index, k, first)
+        assert got.shape == (n, k)
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="rows")
+        for row in {0, n - 1, *rows}:
+            want = path_rng(seed, stream, base + row).random(first + k)[first:]
+            assert np.array_equal(got[row], want), row
+
+    @pytest.mark.parametrize("kind,n,horizon,kib", [
+        ("jump", 20_000, 10, 2_036),
+        ("jump", 2_500, 5, 507),
+        ("markov4", 10_000, 7, 1_772),
+    ])
+    def test_sampler_peak_memory_stays_pinned(self, kind, n, horizon, kib):
+        # tracemalloc peak of simulate_paths after a warm call: kib is the
+        # peak of the earlier kernel, which held about ten (2, paths)
+        # temporaries a Philox call (Python 3.11, numpy 2.4.6); margin 5 %
+        if kind == "jump":
+            model = PoissonJump(0.05, 0.1, 0.5)
+            grid = TimeGrid(Regime.CONTINUOUS, horizon, horizon)
+        else:
+            model = next(m.model for m in standard_fleet() if m.name == kind)
+            grid = TimeGrid(Regime.DISCRETE, horizon)
+        simulate_paths(model, grid, n, 1)
+        tracemalloc.start()
+        try:
+            simulate_paths(model, grid, n, 20260819)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * kib * 1024
+
+
+class TestSamplerAcrossPasses:
+    """Whole scenario sets, one pass and three paths long, against the
+    path-by-path reference: row i is what ``path_rng(seed, stream, i)``
+    draws, on either side of the pass edge and in every later block."""
+
+    N = _PASS + 3
+
+    @pytest.mark.parametrize("mean", [0.5, 20.0, 100.0])
+    def test_jump_rows_match_path_rng(self, mean):
+        lam, horizon = mean / 4.0, 4.0
+        grid = TimeGrid(Regime.CONTINUOUS, horizon, horizon)
+        model = PoissonJump(0.05, 0.1, lam)
+        for n, seed, stream in ((self.N, 8, STREAM_PRICING),
+                                (1, 2**64 - 1, STREAM_PATHS)):
+            scen = simulate_paths(model, grid, n, seed, stream=stream)
+            assert scen.n_paths == n
+            for i in range(n):
+                want = sample_jump_times(path_rng(seed, stream, i), lam, horizon)
+                got = scen.jump_times[scen.offsets[i]:scen.offsets[i + 1]]
+                assert np.array_equal(got, want), i
+
+    def test_jump_buffer_grows_past_its_estimate(self, monkeypatch):
+        # counts drawn from a table for mean 40, where the model's mean of
+        # 0.5 sizes the buffer, overflow it in the first pass
+        from longrates import models
+
+        table = models._poisson_cdf(40.0)
+        monkeypatch.setattr(models, "_poisson_cdf", lambda mean: table)
+        grid = TimeGrid(Regime.CONTINUOUS, 5.0, 5.0)
+        scen = simulate_paths(PoissonJump(0.0, 1.0, 0.1), grid, self.N, 3)
+        assert scen.offsets[-1] > 0.5 * self.N + 10 * math.sqrt(0.5 * self.N) + 16
+        for i in (0, _PASS - 1, _PASS, self.N - 1):
+            rng = path_rng(3, STREAM_PATHS, i)
+            count = int(table.searchsorted(rng.random(), side="right"))
+            want = 5.0 * np.sort(rng.random(min(count, table.size - 1)))
+            got = scen.jump_times[scen.offsets[i]:scen.offsets[i + 1]]
+            assert np.array_equal(got, want)
+
+    def test_chain_rows_match_path_rng(self):
+        # seven steps: one block of four uniforms, then three of the next
+        chain = next(m.model for m in standard_fleet() if m.name == "markov4")
+        cum = np.cumsum(chain.transition, axis=1)
+        n_steps, seed = 7, 12
+        states = simulate_paths(chain, TimeGrid(Regime.DISCRETE, n_steps), self.N,
+                                seed).states
+        assert states.shape == (self.N, n_steps + 1)
+        for i in range(self.N):
+            u = path_rng(seed, STREAM_PATHS, i).random(n_steps)
+            want = [chain.initial_state]
+            for k in range(n_steps):
+                nxt = int(np.searchsorted(cum[want[-1]], u[k], side="right"))
+                want.append(min(nxt, chain.n_states - 1))
+            assert states[i].tolist() == want, i
 
 
 class TestJumpPath:
