@@ -106,8 +106,7 @@ def _extract_table(
     if not np.all(np.isfinite(curves)):
         raise ValueError("curve values must be finite")
     if method is ExtractionMethod.PLAIN_TAIL:
-        value = curves[:, -1]
-        residual = np.abs(curves[:, -1] - curves[:, -2])
+        value, residual = curves[:, -1], np.abs(curves[:, -1] - curves[:, -2])
     elif method is ExtractionMethod.RECIPROCAL_EXTRAPOLATION:
         half = taus.size - taus.size // 2
         value = _intercepts(taus[-half:], curves[:, -half:])
@@ -118,11 +117,14 @@ def _extract_table(
 
 
 def _intercepts(taus: np.ndarray, curves: np.ndarray) -> np.ndarray:
-    """Intercept a of the least-squares fit value ~ a + b / tau, per row."""
-    design = np.column_stack([np.ones(taus.size), 1.0 / taus])
-    # one right-hand side per solve: lstsq on many columns at once rounds
-    # differently in the last bit once a fit has 8 or more points
-    return np.array([np.linalg.lstsq(design, row, rcond=None)[0][0] for row in curves])
+    """Least-squares intercept a of value ~ a + b / tau, per row: w, the first
+    row of pinv(design), sums to 1, so a = c_0 + sum_j w_j (c_j - c_0), exact
+    on flat rows; summed column by column, a row rounds alike in any table."""
+    weights = np.linalg.pinv(np.column_stack([np.ones(taus.size), 1.0 / taus]))[0]
+    value = curves[:, 0].copy()
+    for w, column in zip(weights[1:], curves.T[1:]):
+        value += w * (column - curves[:, 0])
+    return value
 
 
 _MAX_SQUARINGS = 64  # v has then taken 2^64 - 1 steps of D

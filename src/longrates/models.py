@@ -213,10 +213,8 @@ class ConstantRate(_Model):
             states = np.zeros((n, int(grid.horizon) + 1), dtype=np.int64)
             rates = np.array([self.rate], dtype=float)
             return ScenarioSet(grid, states=states, state_rates=rates)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        return ScenarioSet(
-            grid, level=self.rate, jump_times=np.empty(0), offsets=offsets
-        )
+        return ScenarioSet(grid, level=self.rate, jump_times=np.empty(0),
+                           offsets=np.zeros(n + 1, dtype=np.int64))
 
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
         from . import pricing
@@ -427,25 +425,25 @@ class MarkovChain(_Model):
 
     def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
         """Row i is the path that ``path_rng(seed, stream, i)`` draws: its
-        uniforms ``rng.random(n_steps)`` pick each next state by inverse CDF
-        from the current state's cumulative transition row. Each step
-        advances every path at once, with one ``searchsorted`` per occupied
-        state, and uniforms are drawn four steps at a time, so no temporary
-        grows with n_paths times n_states or n_steps."""
-        n_steps = int(grid.horizon)
+        uniforms, four steps at a time, pick each next state by inverse CDF.
+        A step searches ``now + 1j * u`` in the sorted table of all ``s + 1j
+        * cum[s]`` once: complex numbers order by real, then imaginary part,
+        so u lands ``now * n_states`` past where ``cum[now]`` puts it."""
+        n_steps, n_states = int(grid.horizon), self.n_states
         index = np.arange(n, dtype=np.uint64)
-        cum = np.cumsum(self.transition, axis=1)
+        edges = (np.arange(n_states)[:, None] + 1j * self.transition.cumsum(1)).ravel()
         states = np.empty((n, n_steps + 1), dtype=np.int64)
         states[:, 0] = self.initial_state
+        keys = np.empty(n, dtype=complex)
         for k in range(n_steps):
-            if k % 4 == 0:  # the next four uniforms of every path
+            if k % 4 == 0:  # the next four uniforms, once the last four are freed
+                draws = None
                 draws = _uniforms(seed, stream, index, 4, k)
-            now, nxt, u = states[:, k], states[:, k + 1], draws[:, k % 4]
-            for i in np.unique(now):
-                rows = now == i
-                nxt[rows] = cum[i].searchsorted(u[rows], side="right")
+            now, nxt = states[:, k], states[:, k + 1]
+            keys.real, keys.imag = now, draws[:, k % 4]
+            np.subtract(edges.searchsorted(keys, side="right"), now * n_states, out=nxt)
             # the clamp guards u above a row sum rounded below 1
-            np.minimum(nxt, self.n_states - 1, out=nxt)
+            np.minimum(nxt, n_states - 1, out=nxt)
         return ScenarioSet(grid, states=states, state_rates=self.state_rates)
 
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from longrates.longrate import (
     ExtractionMethod,
     _extract_table,
+    _intercepts,
     extract_long_rate,
     forward_zero_gap,
     long_zero_from_x,
@@ -123,6 +124,25 @@ class TestExtractTable:
             assert np.all(residual[::5] == 0.0)
         else:
             assert np.all(residual[::5] <= 1e-14 * np.abs(curves[::5, 0]))
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_intercepts_match_per_row_lstsq(self, seed):
+        # the reference solves each row on its own, and its last bits differ
+        # from the fixed weights': allow a few ulps of max|c|, scaled by the
+        # sum of |weights|, which is how far a fit amplifies a rounding error
+        rng = np.random.default_rng(seed)
+        for n in range(4, 17):
+            taus = np.cumsum(rng.uniform(0.5, 400.0, n))
+            curves = rng.normal(0.9, 0.1, (30, n)) + rng.normal(0.0, 3.0, (30, 1)) / taus
+            curves[::3] = rng.normal(size=(10, 1))  # flat rows
+            design = np.column_stack([np.ones(n), 1.0 / taus])
+            want = [np.linalg.lstsq(design, row, rcond=None)[0][0] for row in curves]
+            got = _intercepts(taus, curves)
+            gain = np.abs(np.linalg.pinv(design)[0]).sum()
+            ulp = np.spacing(np.abs(curves).max(axis=1))
+            assert np.all(np.abs(got - want) <= 16 * gain * ulp), n
+            assert np.array_equal(got[::3], curves[::3, 0])
 
 
 class TestPerron:

@@ -56,6 +56,37 @@ def integral_by_hand(level, jump, times, s, t):
     return level * (t - s) + jump * (before * (t - s) + float(np.sum(t - inside)))
 
 
+def chain_path(chain, seed, stream, i, n_steps):
+    """Path i drawn by hand: a freshly keyed path_rng(seed, stream, i)
+    stepped one state at a time by searchsorted on the CDF rows."""
+    cum = np.cumsum(chain.transition, axis=1)
+    u = path_rng(seed, stream, i).random(n_steps)
+    path = [chain.initial_state]
+    for k in range(n_steps):
+        nxt = int(np.searchsorted(cum[path[-1]], u[k], side="right"))
+        path.append(min(nxt, chain.n_states - 1))
+    return path
+
+
+def sparse_chain(n, seed):
+    """n states whose rows are mostly exact zeros, so cumulative edges tie."""
+    rng = np.random.default_rng(seed)
+    trans = rng.dirichlet(np.ones(n), n) * (rng.random((n, n)) < 0.05)
+    trans[np.arange(n), rng.integers(0, n, n)] += 1e-3  # no empty row
+    trans /= trans.sum(axis=1, keepdims=True)
+    return MarkovChain(rng.uniform(0.0, 0.1, n), trans, n // 2)
+
+
+def short_row_chain():
+    """A chain whose middle row sums to 0.5, set past validation, so that
+    half its draws land above the row and take the sampler's clamp."""
+    chain = MarkovChain([0.0, 0.02, 0.05], np.full((3, 3), 1 / 3), 1)
+    trans = chain.transition.copy()
+    trans[1] = [0.2, 0.3, 0.0]
+    object.__setattr__(chain, "transition", trans)
+    return chain
+
+
 class TestTimeGrid:
     def test_discrete_reporting_times(self):
         grid = TimeGrid(Regime.DISCRETE, 5)
@@ -197,25 +228,26 @@ class TestRng:
         (STREAM_PATHS, STREAM_PATHS, 9),
     ])
     def test_chain_batch_rows_match_path_rng(self, seed, stream, index):
-        # row i must be the path that a freshly keyed path_rng(seed, stream, i)
-        # draws, stepped one state at a time by searchsorted on the CDF rows
-        chain = MarkovChain(
-            [0.0, 0.02, 0.05],
-            [[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]],
-            1,
-        )
+        # every row must be the path that path_rng(seed, stream, i) draws,
+        # on one state, on a few, on ties between cumulative edges and where
+        # a row ends below 1; index 0 samples a single path
+        chains = [
+            MarkovChain([0.03], [[1.0]], 0),
+            MarkovChain(
+                [0.0, 0.02, 0.05],
+                [[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]],
+                1,
+            ),
+            sparse_chain(211, index),
+            short_row_chain(),
+        ]
         n_steps = 12
         grid = TimeGrid(Regime.DISCRETE, n_steps)
-        states = simulate_paths(chain, grid, index + 1, seed, stream=stream).states
-        assert states.shape == (index + 1, n_steps + 1)
-        cum = np.cumsum(chain.transition, axis=1)
-        for i in (0, index):
-            u = path_rng(seed, stream, i).random(n_steps)
-            want = [chain.initial_state]
-            for k in range(n_steps):
-                nxt = int(np.searchsorted(cum[want[-1]], u[k], side="right"))
-                want.append(min(nxt, chain.n_states - 1))
-            assert states[i].tolist() == want
+        for chain in chains:
+            states = simulate_paths(chain, grid, index + 1, seed, stream=stream).states
+            assert states.shape == (index + 1, n_steps + 1)
+            for i in range(index + 1):
+                assert states[i].tolist() == chain_path(chain, seed, stream, i, n_steps)
 
     def test_batch_states_match_state_at(self):
         grid = TimeGrid(Regime.CONTINUOUS, 6.0, 6.0)
@@ -361,12 +393,14 @@ class TestKeyedSampler:
     @pytest.mark.parametrize("kind,n,horizon,kib", [
         ("jump", 20_000, 10, 2_036),
         ("jump", 2_500, 5, 507),
-        ("markov4", 10_000, 7, 1_772),
+        ("markov4", 10_000, 7, 1_489),
     ])
     def test_sampler_peak_memory_stays_pinned(self, kind, n, horizon, kib):
-        # tracemalloc peak of simulate_paths after a warm call: kib is the
-        # peak of the earlier kernel, which held about ten (2, paths)
-        # temporaries a Philox call (Python 3.11, numpy 2.4.6); margin 5 %
+        # tracemalloc peak of simulate_paths after a warm call (Python 3.11,
+        # numpy 2.4.6); margin 5 %. For the jump model kib is the peak of the
+        # earlier kernel, which held about ten (2, paths) temporaries a
+        # Philox call; for the chain it is the peak once the last four
+        # steps' draws are freed before the next four are drawn
         if kind == "jump":
             model = PoissonJump(0.05, 0.1, 0.5)
             grid = TimeGrid(Regime.CONTINUOUS, horizon, horizon)
@@ -424,18 +458,14 @@ class TestSamplerAcrossPasses:
     def test_chain_rows_match_path_rng(self):
         # seven steps: one block of four uniforms, then three of the next
         chain = next(m.model for m in standard_fleet() if m.name == "markov4")
-        cum = np.cumsum(chain.transition, axis=1)
-        n_steps, seed = 7, 12
-        states = simulate_paths(chain, TimeGrid(Regime.DISCRETE, n_steps), self.N,
-                                seed).states
-        assert states.shape == (self.N, n_steps + 1)
-        for i in range(self.N):
-            u = path_rng(seed, STREAM_PATHS, i).random(n_steps)
-            want = [chain.initial_state]
-            for k in range(n_steps):
-                nxt = int(np.searchsorted(cum[want[-1]], u[k], side="right"))
-                want.append(min(nxt, chain.n_states - 1))
-            assert states[i].tolist() == want, i
+        n_steps = 7
+        grid = TimeGrid(Regime.DISCRETE, n_steps)
+        for n, seed, stream in ((self.N, 12, STREAM_PATHS),
+                                (1, 2**64 - 1, STREAM_PRICING)):
+            states = simulate_paths(chain, grid, n, seed, stream=stream).states
+            assert states.shape == (n, n_steps + 1)
+            for i in range(n):
+                assert states[i].tolist() == chain_path(chain, seed, stream, i, n_steps), i
 
 
 class TestJumpPath:
