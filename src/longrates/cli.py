@@ -6,6 +6,7 @@ code: 0 success, 1 usage, configuration or --out error, 2 verification
 failed or aborted for want of convergence. Files are written with
 deterministic formatting; wall time goes to stderr only, so repeated runs
 with the same config and seed are byte-identical, whatever --threads says.
+Each handler imports its own layers, so a run loads only what it uses.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg
-from .finiteprob import pnorm_liminf_bound
-from .longrate import ExtractionMethod, NonConvergenceError, extract_long_rate, long_zero_from_x
-from .measure import tower_identity_check
-from .models import simulate_paths
 from .output import dump_json, write_csv
-from .pricing import build_curves, log_price_closed_form, price_closed_form, price_mc
-from .verify import verify_dir
 
 __all__ = ["main", "run", "EXIT_OK", "EXIT_USAGE", "EXIT_VERIFY"]
 
@@ -66,9 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("price", "closed-form and Monte Carlo bond prices")
     add("curve", "discount, forward, zero, and growth-factor curves")
     lr = add("long-rate", "extract the long rate from a curve tail")
-    lr.add_argument("--method", choices=sorted(m.value for m in (
-        ExtractionMethod.PLAIN_TAIL, ExtractionMethod.RECIPROCAL_EXTRAPOLATION)),
-        default=None, help="override tolerances.method")
+    lr.add_argument("--method", choices=sorted(cfg._METHODS), default=None,
+                    help="override tolerances.method")
     lr.add_argument("--tol", type=float, default=None,
                     help="override tolerances.extraction_tol")
     add("verify-measure", "check the forward-measure pricing identity")
@@ -96,7 +90,7 @@ def main(argv=None) -> int:
         return finish(f"config error: {exc}")
     except ValueError as exc:
         return finish(f"invalid configuration: {exc}")
-    except NonConvergenceError as exc:
+    except cfg.NonConvergenceError as exc:
         return finish(f"verification aborted: {exc}", EXIT_VERIFY)
     except OSError as exc:
         # load_config reports its own OSError, so this one is from --out
@@ -126,6 +120,8 @@ def _mc_params(args, doc) -> tuple[int, int]:
 
 
 def _cmd_simulate(args, doc) -> tuple[dict, dict, bool]:
+    from .models import simulate_paths
+
     model, grid, head = _model(doc)
     n_paths, seed = _mc_params(args, doc)
     scen = simulate_paths(model, grid, n_paths, seed)
@@ -144,17 +140,18 @@ def _cmd_simulate(args, doc) -> tuple[dict, dict, bool]:
 
 
 def _cmd_price(args, doc) -> tuple[dict, dict, bool]:
+    from .pricing import log_price_closed_form, price_closed_form, price_mc
+
     model, grid, head = _model(doc)
     times = cfg.parse_times(doc)
     t = cfg.require_time(times, "t")
     T = cfg.require_time(times, "T")
+    log_price = log_price_closed_form(model, None, t, T, grid.regime)
+    if not np.isfinite(log_price):
+        # the message of curve and long-rate, not the CSV writer's refusal
+        raise ValueError("log prices must be finite")
     closed = price_closed_form(model, None, t, T, grid.regime)
-    row = {
-        "t": t,
-        "T": T,
-        "log_price": log_price_closed_form(model, None, t, T, grid.regime),
-        "closed_form": closed,
-    }
+    row = {"t": t, "T": T, "log_price": log_price, "closed_form": closed}
     mc_seed = {}
     if "mc" in doc:
         n_paths, seed = _mc_params(args, doc)
@@ -174,6 +171,8 @@ def _cmd_price(args, doc) -> tuple[dict, dict, bool]:
 
 
 def _cmd_curve(args, doc) -> tuple[dict, dict, bool]:
+    from .pricing import build_curves
+
     model, grid, head = _model(doc)
     t = cfg.require_time(cfg.parse_times(doc), "t")
     taus, _ = cfg.parse_schedule(doc, grid.regime)
@@ -199,13 +198,16 @@ def _cmd_curve(args, doc) -> tuple[dict, dict, bool]:
 
 
 def _cmd_long_rate(args, doc) -> tuple[dict, dict, bool]:
+    from .longrate import extract_long_rate, long_zero_from_x
+    from .pricing import build_curves
+
     model, grid, head = _model(doc)
     t = cfg.require_time(cfg.parse_times(doc), "t")
     taus, quantity = cfg.parse_schedule(doc, grid.regime, extract=True)
     tolerances = cfg.parse_tolerances(doc)
     method = tolerances["method"]
     if args.method is not None:
-        method = ExtractionMethod(args.method)
+        method = cfg._METHODS[args.method]
     tol = tolerances["extraction_tol"]
     if args.tol is not None:
         if args.tol < 0:
@@ -245,6 +247,8 @@ def _cmd_long_rate(args, doc) -> tuple[dict, dict, bool]:
 
 
 def _cmd_verify_measure(args, doc) -> tuple[dict, dict, bool]:
+    from .measure import tower_identity_check
+
     model, grid, head = _model(doc)
     times = cfg.parse_times(doc)
     s = cfg.require_time(times, "s")
@@ -269,6 +273,8 @@ def _cmd_verify_measure(args, doc) -> tuple[dict, dict, bool]:
 
 
 def _cmd_verify_dir(args, doc) -> tuple[dict, dict, bool]:
+    from .verify import verify_dir
+
     model, grid, head = _model(doc)
     times = cfg.parse_times(doc)
     s = cfg.require_time(times, "s")
@@ -312,6 +318,8 @@ def _cmd_verify_dir(args, doc) -> tuple[dict, dict, bool]:
 
 
 def _cmd_lemma_lab(args, doc) -> tuple[dict, dict, bool]:
+    from .finiteprob import pnorm_liminf_bound
+
     space = cfg.parse_space(doc)
     partition = cfg.parse_partition(doc, space)
     limit = cfg.parse_rv(doc, space)

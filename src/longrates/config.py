@@ -5,30 +5,30 @@ use `model`, `grid`, `times`, `schedule`, `mc`, and `tolerances`; the finite
 probability laboratory uses `space`, `partition`, `rv`, `sequence`,
 `schedule`, and `tolerances`. Every parse failure raises :class:`ConfigError`
 naming the offending section and field.
+
+The extraction methods and `NonConvergenceError` live here, so that the CLI
+can name and catch them without loading a model layer; the model and
+finite-space types are imported by the parse functions that build them.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .finiteprob import FiniteProbSpace, Partition, Rv
-from .longrate import _MIN_TAUS, ExtractionMethod
-from .models import (
-    ConstantRate,
-    MarkovChain,
-    ModelSpec,
-    PoissonJump,
-    Regime,
-    TimeGrid,
-)
+if TYPE_CHECKING:
+    from .finiteprob import FiniteProbSpace, Partition, Rv
+    from .models import ModelSpec, Regime, TimeGrid
 
 __all__ = [
     "ConfigError",
+    "NonConvergenceError",
+    "ExtractionMethod",
     "load_config",
     "parse_model",
     "parse_grid",
@@ -44,14 +44,27 @@ __all__ = [
     "parse_n_schedule",
 ]
 
-_METHODS = {
-    "plain_tail": ExtractionMethod.PLAIN_TAIL,
-    "reciprocal_extrapolation": ExtractionMethod.RECIPROCAL_EXTRAPOLATION,
-}
-
 
 class ConfigError(Exception):
     """A configuration file is missing, malformed, or inconsistent."""
+
+
+class NonConvergenceError(RuntimeError):
+    """A long rate did not converge: tail extractions did not stabilize, so
+    the maturity schedule is too short, or Perron squaring did not meet its
+    tolerance within its budget of squarings."""
+
+
+class ExtractionMethod(Enum):
+    PLAIN_TAIL = "plain_tail"
+    RECIPROCAL_EXTRAPOLATION = "reciprocal_extrapolation"
+    SPECTRAL = "spectral"
+
+
+# the methods that read a long rate off curve values, by config name
+_METHODS = {m.value: m for m in ExtractionMethod if m is not ExtractionMethod.SPECTRAL}
+# times to maturity that a tail extraction needs at least
+_MIN_TAUS = 4
 
 
 def load_config(path) -> dict:
@@ -121,6 +134,8 @@ def _number_list(sec, ctx, key) -> list[float]:
 
 
 def parse_model(doc: dict) -> ModelSpec:
+    from .models import ConstantRate, MarkovChain, PoissonJump
+
     sec = _section(doc, "model")
     kind = _field(sec, "model", "kind")
     try:
@@ -147,6 +162,8 @@ def parse_model(doc: dict) -> ModelSpec:
 
 
 def parse_grid(doc: dict) -> TimeGrid:
+    from .models import Regime, TimeGrid
+
     sec = _section(doc, "grid")
     regime_name = _field(sec, "grid", "regime")
     try:
@@ -183,6 +200,8 @@ def parse_schedule(
     A schedule that a long rate is extracted from (extract=True) needs at
     least 4 maturities.
     """
+    from .models import Regime
+
     sec = _section(doc, "schedule")
     taus = np.asarray(_number_list(sec, "schedule", "taus"), dtype=float)
     if extract and taus.size < _MIN_TAUS:
@@ -231,14 +250,15 @@ def parse_tolerances(doc: dict) -> dict:
     method_name = _field(sec, ctx, "method", required=False,
                          default="reciprocal_extrapolation")
     if method_name not in _METHODS:
-        raise ConfigError(
-            "tolerances.method must be 'plain_tail' or 'reciprocal_extrapolation'"
-        )
+        names = " or ".join(f"'{name}'" for name in _METHODS)
+        raise ConfigError(f"tolerances.method must be {names}")
     out["method"] = _METHODS[method_name]
     return out
 
 
 def parse_space(doc: dict) -> FiniteProbSpace:
+    from .finiteprob import FiniteProbSpace
+
     sec = _section(doc, "space")
     probs = _number_list(sec, "space", "atom_probs")
     try:
@@ -286,7 +306,7 @@ def parse_sequence(
 
         def scaled(n: int) -> Rv:
             factor = max(0.0, 1.0 - c / n)
-            return Rv(space, limit.values * factor)
+            return space.rv(limit.values * factor)
 
         return scaled
     raise ConfigError("sequence.kind must be 'constant' or 'scaled'")

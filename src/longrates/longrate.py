@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from .config import _MIN_TAUS, ExtractionMethod, NonConvergenceError
 from .models import MarkovChain, ModelSpec, Regime
 from .pricing import _binary_powers, build_curves
 
@@ -29,12 +29,6 @@ __all__ = [
     "long_zero_from_x",
     "x_from_long_zero",
 ]
-
-
-class ExtractionMethod(Enum):
-    PLAIN_TAIL = "plain_tail"
-    RECIPROCAL_EXTRAPOLATION = "reciprocal_extrapolation"
-    SPECTRAL = "spectral"
 
 
 @dataclass(frozen=True)
@@ -53,12 +47,6 @@ class LongRateEstimate:
     residual: float
     T_used: float
     converged: bool
-
-
-class NonConvergenceError(RuntimeError):
-    """A long rate did not converge: tail extractions did not stabilize, so
-    the maturity schedule is too short, or Perron squaring did not meet its
-    tolerance within its budget of squarings."""
 
 
 def extract_long_rate(
@@ -83,10 +71,6 @@ def extract_long_rate(
     return LongRateEstimate(
         float(value), method, float(residual), float(taus[-1]), bool(ok)
     )
-
-
-# times to maturity that a tail extraction needs at least
-_MIN_TAUS = 4
 
 
 def _check_schedule(taus: np.ndarray, tol: float) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from longrates import config as cfg
-from longrates.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from longrates.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from longrates.models import simulate_paths
 from longrates.verify import verify_dir
 
@@ -369,6 +369,31 @@ class TestErrorHandling:
         out = tmp_path / "curve"
         assert run_cli("curve", "--config", short, "--out", out) == EXIT_OK
         assert read_summary(out)["n_maturities"] == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["price", "curve", "long-rate"])
+    def test_non_finite_closed_form_is_named_as_such(self, tmp_path, capsys, command):
+        # r0 is finite, but the log price it implies is not
+        config = edited_config(tmp_path, "poisson.json", "model", "r0", 1e308)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--out", out) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"longrates {command}: invalid configuration: log prices must be finite\n")
+        assert list(out.iterdir()) == []
+
+    def test_method_choices_are_what_the_config_accepts(self):
+        accepted = []
+        for method in cfg.ExtractionMethod:
+            try:
+                parsed = cfg.parse_tolerances({"tolerances": {"method": method.value}})
+            except cfg.ConfigError:
+                continue
+            assert parsed["method"] is method
+            accepted.append(method.value)
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        (choices,) = [a.choices for a in commands.choices["long-rate"]._actions
+                      if a.dest == "method"]
+        assert choices == sorted(accepted) == ["plain_tail", "reciprocal_extrapolation"]
 
     def test_negative_seed_override(self, tmp_path):
         code = run_cli("simulate", "--config", CONFIGS / "markov2.json",

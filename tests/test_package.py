@@ -1,18 +1,25 @@
-"""Guards on the package as a whole: what importing it loads, that model
+"""Guards on the package as a whole: what importing it and running each
+command loads, that every export is its home module's object, that model
 types are told apart by the model protocol, not by isinstance checks, that
 scenarios reach every consumer by one route, and that no path gets a
 generator of its own."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import longrates
 from longrates import models
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from cli_matrix import README_LINES
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODEL_CLASSES = {"ConstantRate", "PoissonJump", "MarkovChain"}
 # the one guard that rejects a wrong-typed public argument
 ALLOWED_GUARDS = {("longrate.py", "perron_long_rate")}
@@ -29,6 +36,73 @@ def test_import_loads_neither_networkx_nor_scipy():
     where, networkx, scipy = proc.stdout.split()
     assert Path(where).is_relative_to(SRC)
     assert (networkx, scipy) == ("False", "False")
+
+
+def _layers_loaded(code: str, cwd: Path) -> set[str]:
+    """The longrates submodules in sys.modules after `code` runs in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*(m.split('.')[1] "
+         "for m in sys.modules if m.startswith('longrates.')))"],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+# README line -> the layers its run loads beside cli, config and output
+COMMAND_LAYERS = {
+    "sim": {"models", "philox"},
+    "price": {"models", "philox", "pricing"},
+    "curve": {"models", "philox", "pricing"},
+    "lr": {"models", "philox", "pricing", "longrate"},
+    "lr_plain_tail": {"models", "philox", "pricing", "longrate"},
+    "measure": {"models", "philox", "pricing", "measure"},
+    "dir": {"models", "philox", "pricing", "longrate", "verify"},
+    "lemma": {"finiteprob"},
+}
+
+
+def test_import_loads_no_layer():
+    assert _layers_loaded("import longrates", ROOT) == set()
+
+
+@pytest.mark.parametrize("name", README_LINES)
+def test_each_command_loads_only_its_layers(tmp_path, name):
+    argv = [*README_LINES[name], "--out", str(tmp_path)]
+    code = f"from longrates.cli import main\nmain({argv!r})"
+    assert _layers_loaded(code, ROOT) == {"cli", "config", "output"} | COMMAND_LAYERS[name]
+
+
+def test_every_export_is_the_object_in_its_home_module():
+    for name in longrates.__all__:
+        value = getattr(longrates, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    from longrates import config, longrate, verify
+
+    assert (longrates.NonConvergenceError is config.NonConvergenceError
+            is longrate.NonConvergenceError is verify.NonConvergenceError)
+    assert set(longrates.__all__) <= set(dir(longrates))
+    namespace = {}
+    exec("from longrates import *", namespace)
+    assert all(namespace[name] is getattr(longrates, name) for name in longrates.__all__)
+
+
+def test_unknown_name_is_an_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'longrates' has no attribute 'nope'"):
+        longrates.nope
+
+
+def test_exports_follow_their_home_module(monkeypatch):
+    # nothing is cached in the package, so a wrapper put on the home module
+    # (as perfbench's tracer does) is seen, and its removal too
+    from longrates import verify
+
+    original = verify.verify_dir
+    monkeypatch.setattr(verify, "verify_dir", len)
+    assert longrates.verify_dir is len
+    monkeypatch.undo()
+    assert longrates.verify_dir is original
 
 
 class _IsinstanceSites(ast.NodeVisitor):
