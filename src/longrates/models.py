@@ -580,7 +580,7 @@ class ScenarioSet:
             # sum does; np.add.reduceat adds in order and rounds otherwise
             gaps = t - times
             inside = np.zeros(size.size)
-            for length in np.unique(size[size > 0]).tolist():
+            for length in np.flatnonzero(np.bincount(size)[1:]) + 1:
                 paths = np.flatnonzero(size == length)
                 inside[paths] = gaps[start[paths, None] + np.arange(length)].sum(axis=1)
             # level * (t - s) + jump * (before * (t - s) + inside), in place

@@ -2,9 +2,9 @@
 
 Two runs with the same inputs must produce byte-identical files. Every value
 written takes its text from one rule chosen by numpy dtype (`_rule`), once per
-CSV column and once per JSON value, and the JSON writer emits keys in
-insertion order without ever re-sorting, so every byte of every result file
-is a pure function of the run's inputs.
+CSV column and once per JSON value; each distinct value in a block of CSV rows
+is formatted once. JSON keys keep insertion order, never re-sorted, so every
+byte of every result file is a pure function of the run's inputs.
 """
 
 from __future__ import annotations
@@ -62,10 +62,23 @@ def write_csv(path, columns) -> int:
     with open(path, "w") as out:
         out.write(",".join(columns) + "\n")
         for lo in range(0, n_rows, _BLOCK_ROWS):
-            cells = [list(map(rule, array[lo:lo + _BLOCK_ROWS].tolist()))
-                     for rule, array in zip(rules, arrays)]
-            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            cells = np.empty((min(_BLOCK_ROWS, n_rows - lo), 2 * len(arrays)), object)
+            cells[:, 1::2] = ","
+            cells[:, -1] = "\n"
+            for j, (rule, array) in enumerate(zip(rules, arrays)):
+                _put_texts(cells[:, 2 * j], rule, array[lo:lo + _BLOCK_ROWS])
+            out.write("".join(cells.ravel().tolist()))
     return n_rows
+
+
+def _put_texts(dest: np.ndarray, rule, values: np.ndarray) -> None:
+    """Put each value's text in `dest`, formatting each distinct key once;
+    a float's key is its float64 bits, so that -0.0 and 0.0 stay apart."""
+    keys = np.asarray(values, float).view(np.int64) if values.dtype.kind == "f" else values
+    order = keys.argsort()
+    first = np.concatenate(([True], keys[order[1:]] != keys[order[:-1]]))
+    texts = map(rule, values[order[first]].tolist())
+    dest[order] = np.fromiter(texts, object)[first.cumsum() - 1]
 
 
 def dumps_json(obj) -> str:

@@ -103,6 +103,17 @@ def monotonicity_violations(
     return np.nonzero(rise > epsilon)[0], epsilon
 
 
+def _quartiles(x: np.ndarray) -> np.ndarray:
+    """np.quantile(x, [0, .25, .5, .75, 1]) of finite x, bit for bit, without
+    loading numpy.ma: numpy's linear rule, index -1 at and past the last index,
+    on x partitioned at numpy's indices, which place tied -0.0 and 0.0."""
+    at = (x.size - 1) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    lo = np.where(at >= x.size - 1, -1, np.floor(at)).astype(np.intp)
+    x = np.partition(x, sorted({0, -1, *lo.tolist(), *(lo + 1).tolist()}))
+    a, b, g = x[lo], x[np.where(lo < 0, -1, lo + 1)], at - lo
+    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
+
+
 def verify_dir(
     model: ModelSpec,
     s: float,
@@ -191,7 +202,7 @@ def _certify(
     violations, epsilon = monotonicity_violations(
         x_s, x_t, res_s, res_t, epsilon_multiplier
     )
-    qs = np.quantile(x_t - x_s, [0.0, 0.25, 0.5, 0.75, 1.0])
+    qs = _quartiles(x_t - x_s)
     quantiles = dict(zip(("min", "q25", "median", "q75", "max"), map(float, qs)))
 
     spectral_value = spectral_gap = None
@@ -316,7 +327,8 @@ def run_poisson_example(
     # long-zero identity at t, one row per distinct state; continuous-time
     # states are the short rates themselves
     t = float(t)
-    states_t = np.unique(scenarios.states_at((t,)))
+    states_t = np.sort(scenarios.states_at((t,)), axis=None)
+    states_t = states_t[np.diff(states_t, prepend=-np.inf) != 0]
     log_prices = model.log_price_table(states_t, t, t + taus, regime)
     z_long, z_res, _ = _extract_table(
         taus, -log_prices / ((t + taus) - t), reciprocal, tol

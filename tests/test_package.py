@@ -74,6 +74,20 @@ def test_each_command_loads_only_its_layers(tmp_path, name):
     assert _layers_loaded(code, ROOT) == {"cli", "config", "output"} | COMMAND_LAYERS[name]
 
 
+def test_commands_load_no_heavy_module(tmp_path):
+    # all eight README lines in one interpreter; np.quantile and np.unique
+    # without an inverse would load numpy.ma
+    lines = [[*argv, "--out", str(tmp_path / name)] for name, argv in README_LINES.items()]
+    code = (
+        f"import sys\nfrom longrates.cli import main\nprint(*map(main, {lines!r}))\n"
+        "print(*(m for m in ('numpy.ma', 'scipy', 'networkx') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split("\n") == [" ".join(["0"] * len(README_LINES)), "", ""]
+
+
 def test_every_export_is_the_object_in_its_home_module():
     for name in longrates.__all__:
         value = getattr(longrates, name)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from longrates import pricing, verify
 from longrates.longrate import ExtractionMethod, extract_long_rate, perron_long_rate
@@ -12,6 +14,7 @@ from longrates.models import (
 from longrates.pricing import build_curves
 from longrates.verify import (
     NonConvergenceError,
+    _quartiles,
     monotonicity_violations,
     run_poisson_example,
     standard_fleet,
@@ -62,6 +65,31 @@ def per_path_reference(model, s, t, n_paths, seed, regime):
         out.append(np.array([e.value for e in ests]))
         out.append(np.array([e.residual for e in ests]))
     return out
+
+
+# mantissas spread over decimal exponents -300..300, and zeros of either sign
+SPREAD = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(-10.0, 10.0, allow_nan=False), st.integers(-300, 300)),
+)
+
+
+class TestQuartiles:
+    @given(st.integers(1, 3000), st.lists(SPREAD, min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_bit_equal_to_np_quantile(self, n, pool, seed, scatter):
+        # n values drawn from a small pool, so that ties (zeros of both
+        # signs among them) fall where the rule interpolates; scattered,
+        # every nonzero value is nudged apart and only the zeros still tie
+        rng = np.random.default_rng(seed)
+        x = np.array(pool)[rng.integers(0, len(pool), n)]
+        if scatter:
+            x *= 1.0 + rng.random(n)
+        before = x.copy()
+        want = np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert _quartiles(x).tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
 
 
 class TestViolationRule:
