@@ -12,6 +12,7 @@ Each handler imports its own layers, so a run loads only what it uses.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -140,7 +141,7 @@ def _cmd_simulate(args, doc) -> tuple[dict, dict, bool]:
 
 
 def _cmd_price(args, doc) -> tuple[dict, dict, bool]:
-    from .pricing import log_price_closed_form, price_closed_form, price_mc
+    from .pricing import log_price_closed_form, price_mc
 
     model, grid, head = _model(doc)
     times = cfg.parse_times(doc)
@@ -150,7 +151,7 @@ def _cmd_price(args, doc) -> tuple[dict, dict, bool]:
     if not np.isfinite(log_price):
         # the message of curve and long-rate, not the CSV writer's refusal
         raise ValueError("log prices must be finite")
-    closed = price_closed_form(model, None, t, T, grid.regime)
+    closed = math.exp(log_price)
     row = {"t": t, "T": T, "log_price": log_price, "closed_form": closed}
     mc_seed = {}
     if "mc" in doc:

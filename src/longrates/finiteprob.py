@@ -215,16 +215,15 @@ def pnorm_limit_check(x: Rv, partition: Partition, p_schedule) -> PNormLimitRepo
     """Evaluate conditional p-norms along a p schedule against the ess sup."""
     schedule = _check_schedule("p_schedule", p_schedule, float, least=1)
     norms = np.vstack([cond_p_norm(x, p, partition).values for p in schedule])
-    sup = cond_ess_sup(x, partition).values
-    p_max = schedule[-1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.where(sup > 0, (sup - norms[-1]) / np.where(sup > 0, sup, 1.0), 0.0)
     probs = x.space.atom_probs
     cells = partition.cell_index()
     top = partition.cell_maxima(x.values)
-    mass_top = partition.cell_sums(np.where(x.values == top[cells], probs, 0.0))
+    sup = top[cells]
+    # a cell whose maximum is 0 holds only zeros, and so does its norm
+    rel = (sup - norms[-1]) / np.where(sup > 0, sup, 1.0)
+    mass_top = partition.cell_sums(np.where(x.values == sup, probs, 0.0))
     share_top = mass_top / partition.cell_sums(probs)
-    bound = np.where(top > 0, -np.log(share_top) / p_max, 0.0)
+    bound = np.where(top > 0, -np.log(share_top) / schedule[-1], 0.0)
     return PNormLimitReport(schedule, norms, sup, rel, bound[cells])
 
 

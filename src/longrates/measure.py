@@ -1,10 +1,10 @@
-"""Forward-measure reweighting and its conditioning identity.
+"""The tower identity of bond prices, and the forward measure it implies.
 
-For observation times s <= t, discounting a payoff known at t and dividing
-by P(s, t) is the same as averaging the payoff under reweighted scenario
-probabilities w = (B_s / B_t) / P(s, t). The identity checked here is that
-the reweighted conditional mean of P(t, T) equals P(s, T) / P(s, t), i.e.
-bond prices at t forecast to s through the weights with no extra drift.
+`tower_identity_check` checks P(s, T) = E[(B_s / B_t) P(t, T)] from the state
+at s: the price at s is the discounted mean of the price at t. Dividing by
+P(s, t) turns the discounts into weights w = (B_s / B_t) / P(s, t) of mean 1,
+the t-forward measure; `rn_weights` builds them from scenarios and
+`forward_expectation` averages a payoff under them. The check uses neither.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ The three share one protocol, so no caller needs to know which one it holds:
 the short rate in a state; and ``log_price_table(states, t, maturities,
 regime)``, log P(t, T) with one row per state and one column per maturity.
 Three private hooks complete it: ``_sample(grid, n, seed, stream)``, the one
-sampler, which only ``simulate_paths`` calls; ``_tower`` (the forward-measure
+sampler, which only ``simulate_paths`` calls; ``_tower`` (the tower identity
 check); and ``_spectral`` (the exact long rate, chains only).
 
 ``simulate_paths`` returns a ``ScenarioSet`` of arrays, keyed by regime, and
@@ -217,13 +217,10 @@ class ConstantRate(_Model):
                            offsets=np.zeros(n + 1, dtype=np.int64))
 
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
-        from . import pricing
-
-        lhs = pricing.price_closed_form(self, None, s, T, regime)
+        p_st, lhs = map(math.exp, self.log_price_table([None], s, [t, T], regime)[0])
+        p_tT = math.exp(self.log_price_table([None], t, [T], regime)[0, 0])
         # deterministic bank account: B_s / B_t = P(s, t)
-        rhs = pricing.price_closed_form(
-            self, None, s, t, regime
-        ) * pricing.price_closed_form(self, None, t, T, regime)
+        rhs = p_st * p_tT
         return lhs, rhs, rhs - lhs, 0.0, 0, True
 
 
@@ -338,14 +335,14 @@ class PoissonJump(_Model):
         scen = simulate_paths(
             self, _window_grid(regime, window), n, seed, stream=STREAM_CONTINUATION
         )
-        # P(t, T) once per distinct end rate
-        ends, per_path = np.unique(scen.states_at((window,)), return_inverse=True)
-        prices = np.array([
-            pricing.price_closed_form(self, r_end, t, T, regime)
-            for r_end in ends.tolist()
-        ])
-        samples = scen.discounts(0.0, window) * prices[per_path.ravel()]
-        rhs = pricing.McEstimate.of(samples)
+        # every jump falls in [0, window], so a path ends at the rate of its
+        # jump count; P(t, T) is priced once per count up to the largest
+        counts = np.diff(scen.offsets)
+        ends = self.r0 + self.delta * np.arange(counts.max() + 1)
+        prices = np.fromiter(
+            map(math.exp, self.log_price_table(ends, t, [T], regime)[:, 0]), float
+        )
+        rhs = pricing.McEstimate.of(scen.discounts(0.0, window) * prices[counts])
         return lhs, rhs.value, rhs.value - lhs, rhs.std_error, n, False
 
 
@@ -471,12 +468,10 @@ ModelSpec = Union[ConstantRate, PoissonJump, MarkovChain]
 
 def _as_period(u, horizon: int):
     """Period index of a whole time in [0, horizon], or an index array."""
-    k = np.asarray(u, dtype=float)
-    if np.any(k != np.trunc(k)):
-        raise ValueError("discrete times must be integers")
+    k = _periods(0, u)
     if np.any(k < 0) or np.any(k > horizon):
         raise ValueError("time outside [0, horizon]")
-    return k.astype(int) if k.ndim else int(k)
+    return k
 
 
 def _window_grid(regime: Regime, horizon) -> TimeGrid:

@@ -73,8 +73,11 @@ def write_csv(path, columns) -> int:
 
 def _put_texts(dest: np.ndarray, rule, values: np.ndarray) -> None:
     """Put each value's text in `dest`, formatting each distinct key once;
-    a float's key is its float64 bits, so that -0.0 and 0.0 stay apart."""
-    keys = np.asarray(values, float).view(np.int64) if values.dtype.kind == "f" else values
+    a float's key is its float64 bits, so that -0.0 and 0.0 stay apart, and
+    an object's its text, as objects need not be orderable."""
+    kind = values.dtype.kind
+    keys = (np.asarray(values, float).view(np.int64) if kind == "f"
+            else values.astype(str) if kind == "O" else values)
     order = keys.argsort()
     first = np.concatenate(([True], keys[order[1:]] != keys[order[:-1]]))
     texts = map(rule, values[order[first]].tolist())
@@ -93,38 +96,27 @@ def dump_json(path, obj) -> None:
 
 
 def _emit(obj, buf: list[str], depth: int) -> None:
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
+    # a container is its (key text, value) pairs; an array's key texts are empty
     if isinstance(obj, dict):
-        if not obj:
-            buf.append("{}")
-            return
-        buf.append("{\n")
-        for k, (key, value) in enumerate(obj.items()):
-            buf.append(f"{inner}{json.dumps(str(key))}: ")
-            _emit(value, buf, depth + 1)
-            buf.append(",\n" if k < len(obj) - 1 else "\n")
-        buf.append(pad + "}")
+        brackets, pairs = "{}", [(f"{json.dumps(str(k))}: ", v) for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        brackets, pairs = "[]", [("", v) for v in obj]
+    else:
+        buf.append(_scalar(obj))
         return
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            buf.append("[]")
-            return
-        buf.append("[\n")
-        for k, value in enumerate(items):
-            buf.append(inner)
-            _emit(value, buf, depth + 1)
-            buf.append(",\n" if k < len(items) - 1 else "\n")
-        buf.append(pad + "]")
-        return
+    buf.append(brackets[0])
+    for k, (key, value) in enumerate(pairs):
+        buf.append(",\n" if k else "\n")
+        buf.append("  " * (depth + 1) + key)
+        _emit(value, buf, depth + 1)
+    buf.append("\n" + "  " * depth + brackets[1] if pairs else brackets[1])
+
+
+def _scalar(obj) -> str:
     if obj is None:
-        buf.append("null")
-        return
+        return "null"
     if isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
-        buf.append(_text(obj))
-        return
+        return _text(obj)
     if isinstance(obj, str):
-        buf.append(json.dumps(obj))
-        return
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -93,7 +93,6 @@ def log_price_closed_form(
     model: ModelSpec, state, t: float, T: float, regime: Regime
 ) -> float:
     """Exact log P(t, T) from the given model state."""
-    model.require_regime(regime)
     if T < t:
         raise ValueError("maturity precedes observation time")
     return float(model.log_price_table([state], t, [T], regime)[0, 0])
@@ -196,8 +195,6 @@ def build_curves(
         raise ValueError("maturities must be a non-empty vector")
     _check_maturities(t, mats)
     if regime is Regime.DISCRETE:
-        if np.any(mats != np.round(mats)):
-            raise ValueError("discrete maturities must be integers")
         both = np.concatenate([mats, mats + 1])
         lp = model.log_price_table([state], t, both, regime)[0]
         return _curves(t, mats, lp[: mats.size], regime, lp[mats.size :])

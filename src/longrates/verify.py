@@ -30,6 +30,7 @@ from .models import (
     Regime,
     STREAM_CONTINUATION,
     ScenarioSet,
+    _periods,
     _window_grid,
     path_rng,
     simulate_paths,
@@ -163,10 +164,7 @@ def _check_window(
     taus = np.asarray(maturity_schedule, dtype=float)
     _check_schedule(taus, tol)
     if regime is Regime.DISCRETE:
-        if float(s) != int(s) or float(t) != int(t):
-            raise ValueError("discrete observation times must be integers")
-        if np.any(taus != np.round(taus)):
-            raise ValueError("discrete maturity schedule must be integers")
+        _periods(s, [t, *taus])
     return taus
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -463,3 +464,120 @@ class TestBytesAgainstAnIndependentRendering:
         assert run_cli("verify-dir", "--config", CONFIGS / "markov2.json",
                        "--out", tmp_path) == EXIT_OK
         assert (tmp_path / "report.csv").read_bytes() == want
+
+
+GONE = object()  # the edit deletes the key
+
+BROKEN_CONFIGS = {
+    # id: (command, config, section, key, value, message after "config error: ");
+    # section None replaces the whole document, key None the whole section
+    "top-level": ("simulate", "markov2.json", None, None, [1],
+                  "{path}: top level must be a JSON object"),
+    "section": ("simulate", "markov2.json", "grid", None, [1],
+                "section 'grid' must be an object"),
+    "lambda": ("simulate", "poisson.json", "model", "lambda", -1,
+               "model: intensity must be positive"),
+    "transition": ("simulate", "markov2.json", "model", "transition", "x",
+                   "model.transition must be a list of rows"),
+    "initial-state": ("simulate", "markov2.json", "model", "initial_state", 1.5,
+                      "model.initial_state must be an integer"),
+    "state-rates": ("simulate", "markov2.json", "model", "state_rates", [],
+                    "model.state_rates must be a non-empty list of numbers"),
+    "regime": ("simulate", "constant.json", "grid", "regime", "weekly",
+               "grid.regime must be 'discrete' or 'continuous'"),
+    "missing-T": ("price", "constant.json", "times", "T", GONE,
+                  "times.T is required for this command"),
+    "decreasing-taus": ("verify-dir", "markov2.json", "schedule", "taus",
+                        [62, 500, 250, 1000],
+                        "schedule.taus must be positive and strictly increasing"),
+    "fractional-taus": ("long-rate", "markov2.json", "schedule", "taus",
+                        [62, 125.5, 250, 500],
+                        "schedule.taus must be integers in the discrete regime"),
+    "quantity": ("long-rate", "markov2.json", "schedule", "quantity", "forward",
+                 "schedule.quantity must be 'x' or 'zero'"),
+    "n-paths": ("simulate", "markov2.json", "mc", "n_paths", 0,
+                "mc.n_paths must be at least 1"),
+    "seed": ("verify-measure", "poisson.json", "mc", "seed", -1,
+             "mc.seed must be a non-negative integer"),
+    "extraction-tol": ("verify-dir", "markov2.json", "tolerances", "extraction_tol",
+                       -1e-4, "tolerances.extraction_tol must be non-negative"),
+    "epsilon-multiplier": ("verify-dir", "poisson.json", "tolerances",
+                           "epsilon_multiplier", 0,
+                           "tolerances.epsilon_multiplier must be positive"),
+    "k-sigma": ("verify-measure", "markov2.json", "tolerances", "k_sigma", 0,
+                "tolerances.k_sigma must be positive"),
+    "space": ("lemma-lab", "four_atoms.json", "space", "atom_probs",
+              [0.5, 0.5, 0.5, -0.5], "space: atom probabilities must be strictly positive"),
+    "cells-shape": ("lemma-lab", "four_atoms.json", "partition", "cells", [[0, 1], 2],
+                    "partition.cells must be a list of lists of atom indices"),
+    "cells-overlap": ("lemma-lab", "four_atoms.json", "partition", "cells",
+                      [[0, 1], [1, 2, 3]], "partition: cells must be disjoint"),
+    "short-rv": ("lemma-lab", "four_atoms.json", "rv", "values", [1.0, 2.0, 3.0],
+                 "rv: values must have one entry per atom"),
+    "sequence-kind": ("lemma-lab", "four_atoms.json", "sequence", "kind", "wild",
+                      "sequence.kind must be 'constant' or 'scaled'"),
+    "sequence-c": ("lemma-lab", "four_atoms.json", "sequence", None,
+                   {"kind": "scaled", "c": -1}, "sequence.c must be non-negative"),
+    "empty-n": ("lemma-lab", "four_atoms.json", "schedule", "n", [],
+                "schedule.n must be a non-empty list of integers"),
+    "fractional-n": ("lemma-lab", "four_atoms.json", "schedule", "n", [2, 4.5],
+                     "schedule.n must contain only integers"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_CONFIGS.values(), ids=list(BROKEN_CONFIGS))
+def test_broken_config_names_its_field_and_writes_nothing(tmp_path, capsys, case):
+    command, name, section, key, value, message = case
+    doc = json.loads((CONFIGS / name).read_text())
+    if section is None:
+        doc = value
+    elif key is None:
+        doc[section] = value
+    elif value is GONE:
+        del doc[section][key]
+    else:
+        doc[section][key] = value
+    bad = tmp_path / "broken.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", bad, "--out", out) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"longrates {command}: config error: {message.format(path=bad)}\n")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_lemma_lab_scaled_sequence_traces_the_power_means(tmp_path):
+    # X_n = (1 - c/n) X on four equally likely atoms, one cell: every atom's
+    # n-norm is the power mean (sum of X_n^n / 4)^(1/n)
+    c = 1.0
+    doc = json.loads((CONFIGS / "four_atoms.json").read_text())
+    doc["sequence"] = {"kind": "scaled", "c": c}
+    config = tmp_path / "scaled.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = run_cli("lemma-lab", "--config", config, "--out", out)
+    summary = read_summary(out)
+    assert code == (EXIT_OK if summary["all_pass"] else EXIT_VERIFY) == EXIT_VERIFY
+    rows = [line.split(",") for line in csv_lines(out / "trace.csv")[1:]]
+    assert len(rows) == 6 * 4
+    x = [1.0, 2.0, 3.0, 4.0]
+    for n, atom, norm, limit, _ in rows:
+        n = int(n)
+        scaled = [(1.0 - c / n) * v for v in x]
+        want = math.fsum(0.25 * v**n for v in scaled) ** (1.0 / n)
+        assert float(norm) == pytest.approx(want, rel=1e-13)
+        assert float(limit) == x[int(atom)]
+
+
+def test_long_rate_of_the_zero_curve_against_the_spectral_oracle(tmp_path):
+    # the long zero rate of markov2 is 1 / x - 1 for its Perron factor 21/22
+    config = edited_config(tmp_path, "markov2.json", "schedule", "quantity", "zero")
+    assert run_cli("long-rate", "--config", config, "--out", tmp_path) == EXIT_OK
+    summary = read_summary(tmp_path)
+    assert summary["quantity"] == "zero"
+    assert summary["spectral_value"] == pytest.approx(1.0 / 21.0, abs=1e-12)
+    assert summary["value"] == pytest.approx(summary["spectral_value"], abs=1e-6)
+    assert summary["spectral_gap"] <= 1e-6
+    lines = csv_lines(tmp_path / "long_rate.csv")
+    assert lines[1].startswith("extracted,zero,")
+    assert lines[2].startswith("spectral,zero,spectral,")

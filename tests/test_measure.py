@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,3 +212,52 @@ class TestFullPipeline:
         ])
         est = forward_expectation(fw, payoff)
         assert abs(est.value - p_sT / p_st) <= 3.5 * est.std_error
+
+
+class TestOnePriceTablePerSetOfStates:
+    """Each route prices its set of states with one log-price table."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        calls = []
+        for cls in (ConstantRate, PoissonJump, MarkovChain):
+            def counted(self, *args, _table=cls.log_price_table, **kwargs):
+                calls.append(type(self).__name__)
+                return _table(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "log_price_table", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["constant.json", "markov2.json", "poisson.json"])
+    def test_price_run_builds_one_table(self, tables, tmp_path, name):
+        from longrates.cli import main
+
+        config = Path(__file__).resolve().parents[1] / "configs" / name
+        assert main(["price", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert len(tables) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["closed_form"] == math.exp(summary["log_price"])
+
+    @pytest.mark.parametrize("n", [2, 50, 2000])
+    def test_jump_tower_takes_two_tables_whatever_its_path_count(self, tables, n):
+        # one at s for P(s, T), one at t for every end rate the paths reach
+        report = tower_identity_check(POISSON, 0.0, 5.0, 15.0, Regime.CONTINUOUS,
+                                      n=n, seed=3)
+        assert report.n == n
+        assert tables == ["PoissonJump", "PoissonJump"]
+
+    @pytest.mark.parametrize("regime,s,t,T", [
+        (Regime.DISCRETE, 2, 7, 10), (Regime.CONTINUOUS, 0.5, 2.25, 9.0)])
+    def test_constant_tower_reads_its_own_table(self, monkeypatch, regime, s, t, T):
+        import longrates.pricing
+
+        def refused(*args, **kwargs):
+            raise AssertionError("priced one price at a time")
+
+        monkeypatch.setattr(longrates.pricing, "price_closed_form", refused)
+        model = ConstantRate(0.03)
+        report = tower_identity_check(model, s, t, T, regime)
+        assert report.exact and report.passed()
+        monkeypatch.undo()
+        assert report.lhs == price_closed_form(model, None, s, T, regime)
+        assert report.rhs == (price_closed_form(model, None, s, t, regime)
+                              * price_closed_form(model, None, t, T, regime))

@@ -196,3 +196,11 @@ class TestSharedRules:
             fmt_float(bad)
         with pytest.raises(ValueError, match="non-finite"):
             dumps_json({"x": bad})
+
+
+class TestObjectColumns:
+    def test_unorderable_objects_are_written_as_their_text(self, tmp_path):
+        # objects are keyed by their text, so None and str need no order
+        assert render(tmp_path, {"s": ["a", None]}) == ["s", "a", "None"]
+        values = np.array(["a", None, 1, "a", None, 1.5], dtype=object)
+        assert render(tmp_path, {"s": values}) == ["s"] + [str(v) for v in values]
