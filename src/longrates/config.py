@@ -313,13 +313,15 @@ def parse_sequence(
 
 
 def parse_n_schedule(doc: dict) -> list[int]:
+    from .finiteprob import _check_schedule
+
     sec = _section(doc, "schedule")
     values = _field(sec, "schedule", "n")
     if not isinstance(values, list) or not values:
         raise ConfigError("schedule.n must be a non-empty list of integers")
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError("schedule.n must contain only integers")
-        out.append(v)
-    return out
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise ConfigError("schedule.n must contain only integers")
+    try:
+        return list(_check_schedule("schedule.n", values, int, least=1, min_len=2))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -267,8 +267,8 @@ def pnorm_liminf_bound(
     the liminf stand-in, and compares.
     """
     schedule = _check_schedule("n_schedule", n_schedule, int, least=1, min_len=2)
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError("tol must be a finite non-negative number")
     _check_same_space(limit_rv, partition)
     norms = np.empty((len(schedule), limit_rv.space.n_atoms))
     deviations = np.empty(len(schedule))

@@ -52,12 +52,8 @@ class ForwardWeights:
 
 
 def rn_weights(scenarios: ScenarioSet, s: float, t: float, price_s_t: float) -> ForwardWeights:
-    """Forward-measure weights (B_s / B_t) / P(s, t) for each path."""
-    if not 0 <= s <= t:
-        raise ValueError("need 0 <= s <= t")
-    horizon = float(scenarios.grid.horizon)
-    if t > horizon:
-        raise ValueError("t exceeds the simulated horizon")
+    """Forward-measure weights (B_s / B_t) / P(s, t) for each path;
+    `ScenarioSet.discounts` checks that 0 <= s <= t <= horizon."""
     if not (math.isfinite(price_s_t) and price_s_t > 0):
         raise ValueError("P(s, t) must be positive and finite")
     return ForwardWeights(float(s), float(t), scenarios.discounts(s, t) / price_s_t)

@@ -466,14 +466,6 @@ class MarkovChain(_Model):
 ModelSpec = Union[ConstantRate, PoissonJump, MarkovChain]
 
 
-def _as_period(u, horizon: int):
-    """Period index of a whole time in [0, horizon], or an index array."""
-    k = _periods(0, u)
-    if np.any(k < 0) or np.any(k > horizon):
-        raise ValueError("time outside [0, horizon]")
-    return k
-
-
 def _window_grid(regime: Regime, horizon) -> TimeGrid:
     """A grid over [0, horizon]; a continuous one reports only the end."""
     step = float(horizon) if regime is Regime.CONTINUOUS else None
@@ -517,8 +509,7 @@ class ScenarioSet:
         times, offsets = self.jump_times, self.offsets
         if offsets[0] != 0 or offsets[-1] != times.size or np.any(np.diff(offsets) < 0):
             raise ValueError("offsets must rise from 0 to the number of jump times")
-        if times.size and (times.min() < 0 or times.max() > self.grid.horizon):
-            raise ValueError("jump times must lie in [0, horizon]")
+        self._times(times)
         if not np.isin(np.flatnonzero(np.diff(times) < 0) + 1, offsets).all():
             raise ValueError("each path's jump times must be sorted")
 
@@ -528,12 +519,26 @@ class ScenarioSet:
             return len(self.states)
         return len(self.offsets) - 1
 
+    def _times(self, times) -> np.ndarray:
+        """Times checked to lie in [0, horizon]: period indices in discrete
+        time, floats in continuous time."""
+        if self.grid.regime is Regime.DISCRETE:
+            u = _periods(0, times)
+        else:
+            u = np.asarray(times, dtype=float)
+        # NaN fails both comparisons
+        if not np.all((u >= 0) & (u <= self.grid.horizon)):
+            raise ValueError("time outside [0, horizon]")
+        return u
+
     def states_at(self, times) -> np.ndarray:
         """States at each time, one row per path: chain indices in discrete
         time, rates in continuous time."""
+        u = self._times(times)
         if self.grid.regime is Regime.DISCRETE:
-            return self.states[:, _as_period(times, int(self.grid.horizon))]
-        return self.level + self.jump * self._jump_counts(times)
+            return self.states[:, u]
+        counts = [_jumps_upto(self.jump_times, self.offsets, v) for v in u]
+        return self.level + self.jump * np.column_stack(counts)
 
     def rates_at(self, times) -> np.ndarray:
         """Short rates at each time, one row per path."""
@@ -545,18 +550,11 @@ class ScenarioSet:
         """B_s / B_t of each path. A discrete bank account grows by 1 + R_k
         in period k, so the ratio is set by the rates before t; a continuous
         one by the exact rate integral."""
-        if self.grid.regime is Regime.DISCRETE:
-            lo, hi = _as_period((s, t), int(self.grid.horizon))
-            growth = 1.0 + self.state_rates
-            # blocks of rows bound the (paths, periods) growth matrix
-            rows = 1 + (1 << 20) // max(1, hi - lo)
-            return np.concatenate([
-                1.0 / np.prod(growth[block[:, lo:hi]], axis=1)
-                for block in np.split(self.states, range(rows, self.n_paths, rows))
-            ])
-        s, t = float(s), float(t)
-        if not 0 <= s <= t <= self.grid.horizon:
+        s, t = self._times((s, t)).tolist()
+        if s > t:
             raise ValueError("need 0 <= s <= t <= horizon")
+        if self.grid.regime is Regime.DISCRETE:
+            return 1.0 / np.prod((1.0 + self.state_rates)[self.states[:, s:t]], axis=1)
         out = np.empty(self.n_paths)
         # a block's temporaries, some 16 entries a path and 4 a jump time,
         # stay within _CELLS entries
@@ -589,15 +587,6 @@ class ScenarioSet:
                 count=integrals.size,
             )
         return out
-
-    def _jump_counts(self, times) -> np.ndarray:
-        """Each path's number of jumps at or before each time."""
-        u = np.asarray(times, dtype=float)
-        if np.any(u < 0) or np.any(u > self.grid.horizon):
-            raise ValueError("time outside [0, horizon]")
-        return np.column_stack(
-            [_jumps_upto(self.jump_times, self.offsets, v) for v in u]
-        )
 
 
 def _jumps_upto(times: np.ndarray, bounds: np.ndarray, u: float) -> np.ndarray:

@@ -217,7 +217,7 @@ def curves_from_log_prices(t: float, maturities, log_prices, regime: Regime) -> 
         raise ValueError("need aligned vectors of at least two maturities")
     _check_maturities(t, mats)
     if regime is Regime.DISCRETE:
-        if np.any(mats != np.round(mats)) or np.any(np.diff(mats) != 1):
+        if np.any(np.diff(_periods(t, mats)) != 1):
             raise ValueError(
                 "discrete curves need consecutive integer maturities; the "
                 "forward rate at T uses the price at T + 1"

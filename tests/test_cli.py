@@ -522,6 +522,10 @@ BROKEN_CONFIGS = {
                 "schedule.n must be a non-empty list of integers"),
     "fractional-n": ("lemma-lab", "four_atoms.json", "schedule", "n", [2, 4.5],
                      "schedule.n must contain only integers"),
+    "decreasing-n": ("lemma-lab", "four_atoms.json", "schedule", "n", [4, 2],
+                     "schedule.n must be strictly increasing"),
+    "short-n": ("lemma-lab", "four_atoms.json", "schedule", "n", [1],
+                "schedule.n needs at least two entries, each >= 1"),
 }
 
 

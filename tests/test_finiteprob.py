@@ -261,6 +261,14 @@ class TestLiminfBound:
         with pytest.raises(ValueError, match="non-negative"):
             pnorm_liminf_bound(lambda n: bad, limit, part, [2, 4], tol=0.1)
 
+    def test_infinite_tol_is_refused(self):
+        # an infinite tol would pass any limit: here 5 and 9 against norms of 2
+        far = FOUR.rv([5.0, 9.0, 5.0, 9.0])
+        small = FOUR.rv([2.0, 2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            pnorm_liminf_bound(lambda n: small, far, FOUR.trivial_partition(),
+                               [2, 4], tol=math.inf)
+
 
 class TestHolder:
     @given(space_with_partition(),

@@ -491,6 +491,15 @@ class TestJumpPath:
         with pytest.raises(ValueError):
             scen.discounts(1.0, 5.5)
 
+    def test_nan_time_is_outside_the_window(self):
+        scen = jump_set(0.02, 0.5, [[1.0]], 5.0)
+        with pytest.raises(ValueError, match="time outside"):
+            scen.states_at((math.nan,))
+
+    def test_nan_jump_time_is_refused(self):
+        with pytest.raises(ValueError, match="time outside"):
+            jump_set(0.02, 0.5, [[1.0, math.nan]], 5.0)
+
     @pytest.mark.parametrize("times", [
         [], [0.0], [0.0, 0.0, 2.5], [1.0, 3.0], [0.5, 5.0], [5.0, 5.0],
         [0.4, 0.9, 1.1, 2.3, 3.2, 4.0, 4.3, 4.5, 4.7],
@@ -544,6 +553,11 @@ class TestBankAccount:
         with pytest.raises(ValueError, match="integers"):
             scen.discounts(0, 0.5)
 
+    def test_discrete_rejects_a_reversed_window(self):
+        scen = simulate_paths(SYM2, TimeGrid(Regime.DISCRETE, 8), 4, 0)
+        with pytest.raises(ValueError, match="s <= t"):
+            scen.discounts(5, 2)
+
     def test_continuous_flat_path(self):
         scen = jump_set(0.04, 0.0, [[]], 10.0)
         growth = 1.0 / scen.discounts(0.0, 10.0)[0]
@@ -551,7 +565,7 @@ class TestBankAccount:
         assert scen.discounts(2.0, 6.0)[0] == pytest.approx(math.exp(-0.16), rel=1e-15)
 
     def test_discrete_blocks_give_the_whole_product(self):
-        # 20,000 paths of 64 periods are discounted in two blocks of rows
+        # 20,000 paths of 64 periods: one product of growth factors per row
         scen = simulate_paths(SYM2, TimeGrid(Regime.DISCRETE, 64), 20_000, 3)
         growth = (1.0 + SYM2.state_rates)[scen.states[:, 1:64]]
         want = 1.0 / np.prod(growth, axis=1)

@@ -169,6 +169,13 @@ def test_each_model_has_one_sampling_hook():
             assert old not in members, (name, old)
 
 
+def test_scenario_times_have_one_check():
+    # ScenarioSet._times is the one range test of scenario times
+    assert hasattr(models.ScenarioSet, "_times")
+    assert not hasattr(models, "_as_period")
+    assert not hasattr(models.ScenarioSet, "_jump_counts")
+
+
 def _philox_sites(tree: ast.AST, scope: str = "<module>") -> list[str]:
     """The enclosing function of each call that builds a Philox generator."""
     sites = []

@@ -379,6 +379,11 @@ class TestCurves:
             curves_from_log_prices(0, [1, 3, 5], [-0.01, -0.03, -0.05],
                                    Regime.DISCRETE)
 
+    def test_curves_from_log_prices_requires_a_whole_observation_time(self):
+        with pytest.raises(ValueError, match="discrete times must be integers"):
+            curves_from_log_prices(0.5, [1, 2, 3, 4], [-0.01, -0.02, -0.03, -0.04],
+                                   Regime.DISCRETE)
+
     def test_averaging_pulls_zero_toward_forward(self):
         # forward 0.05 + 1/(1+T) drifts down; zero averages it, so the gap
         # |f - z| decays like log(T)/T
