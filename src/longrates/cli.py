@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +198,7 @@ def _cmd_curve(args, doc) -> tuple[dict, dict, bool]:
 
 
 def _cmd_long_rate(args, doc) -> tuple[dict, dict, bool]:
-    from .longrate import extract_long_rate, long_zero_from_x
+    from .longrate import extract_long_rate, x_from_long_zero
     from .pricing import build_curves
 
     model, grid, head = _model(doc)
@@ -217,7 +216,8 @@ def _cmd_long_rate(args, doc) -> tuple[dict, dict, bool]:
     curve = build_curves(model, None, t, t + taus, grid.regime)
     values = curve.x if quantity == "x" else curve.zero
     est = extract_long_rate(np.column_stack([taus, values]), method, tol)
-    estimates = {"extracted": est}
+    z_exact = float(model.long_rate_table([None], grid.regime)[0])
+    exact = z_exact if quantity == "zero" else x_from_long_zero(z_exact, grid.regime)
     summary = {
         **head,
         "t": t,
@@ -228,22 +228,18 @@ def _cmd_long_rate(args, doc) -> tuple[dict, dict, bool]:
         "residual": est.residual,
         "T_used": est.T_used,
         "converged": bool(est.converged),
+        "spectral_value": exact,
+        "spectral_gap": abs(est.value - exact),
     }
-    spectral = model._spectral()
-    if spectral is not None:
-        if quantity == "zero":
-            spectral = replace(spectral, value=long_zero_from_x(spectral.value, grid.regime))
-        estimates["spectral"] = spectral
-        summary["spectral_value"] = spectral.value
-        summary["spectral_gap"] = abs(est.value - spectral.value)
+    # the extracted row, then the model's exact long rate
     return {
-        "source": list(estimates),
-        "quantity": [quantity] * len(estimates),
-        "method": [e.method.value for e in estimates.values()],
-        "value": [e.value for e in estimates.values()],
-        "residual": [e.residual for e in estimates.values()],
-        "T_used": [e.T_used for e in estimates.values()],
-        "converged": [e.converged for e in estimates.values()],
+        "source": ["extracted", "spectral"],
+        "quantity": [quantity] * 2,
+        "method": [est.method.value, "spectral"],
+        "value": [est.value, exact],
+        "residual": [est.residual, 0.0],
+        "T_used": [est.T_used, 0.0],
+        "converged": [est.converged, True],
     }, summary, True
 
 
@@ -302,10 +298,9 @@ def _cmd_verify_dir(args, doc) -> tuple[dict, dict, bool]:
         "n_nonconverged": report.n_nonconverged,
         "change_quantiles": report.change_quantiles,
         "passed": report.passed,
+        "spectral_value": report.spectral_value,
+        "spectral_gap": report.spectral_gap,
     }
-    if report.spectral_value is not None:
-        summary["spectral_value"] = report.spectral_value
-        summary["spectral_gap"] = report.spectral_gap
     paths = np.arange(report.n_paths)
     return {
         "path": paths,

@@ -2,8 +2,9 @@
 
 The long rate is the large-maturity asymptote of a curve quantity (the
 price-growth factor x or the zero rate z). Two estimators read it off a
-finite tail, and for finite-state chains the exact value is available
-independently as the Perron eigenvalue of the discounted transition matrix.
+finite tail. For finite-state chains the exact value is available
+independently: from each state, the largest Perron root of the discounted
+transition matrix over the communicating classes that the state reaches.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _intercepts(taus: np.ndarray, curves: np.ndarray) -> np.ndarray:
     return value
 
 
-_MAX_SQUARINGS = 64  # v has then taken 2^64 - 1 steps of D
+_MAX_SQUARINGS = 64  # v has then taken 2^64 - 1 steps of B + sI
 _EPS = np.finfo(float).eps
 # relative float floor of the violation rule, added to every per-path
 # tolerance so that exactly flat curves (zero residual) still get a strictly
@@ -120,52 +121,54 @@ _EPS_FLOOR = 64.0 * _EPS
 
 
 def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate:
-    """Exact chain long rate: Perron root of the discounted transition matrix.
-
-    Repeated squaring on the positive cone: v <- D^(2^k) v, k = 0, 1, ...,
-    takes v to the Perron vector, whose l1 growth ratio under D is the
-    limiting per-period price-growth factor x from every state. The residual,
-    which bounds the ratio's error, is the width of the Collatz-Wielandt
-    bracket of D on v, floored at 4 * n * eps * ratio for the rounding of
-    Dv / v on n states; squaring stops once it is at most ``tol``, and
-    raises NonConvergenceError if it is not after 64 squarings. Requires
-    an irreducible, aperiodic chain, else the limit may not exist or may
-    depend on the state.
-    """
+    """Exact chain long rate x from the initial state: its `_perron_table` row."""
     if not isinstance(model, MarkovChain):
         raise ValueError("spectral long rate is defined for finite chains")
-    n = model.n_states
-    edges = model.transition > 0
-    # strongly connected: squaring I | edges k times joins every pair linked
-    # by a walk of at most 2**k steps, and n - 1 steps suffice
-    reach = (edges | np.eye(n, dtype=bool)).astype(float)
-    for _ in range(n.bit_length()):
-        reach = ((reach @ reach) > 0).astype(float)
-    if not reach.all():
-        raise ValueError("chain is reducible; the long rate may depend on the state")
-    # aperiodic (Wielandt): an irreducible pattern is primitive iff its power
-    # (n - 1)**2 + 1 is positive, and later powers of it stay positive
-    power = edges.astype(float)
-    for _ in range(((n - 1) ** 2).bit_length()):
-        power = ((power @ power) > 0).astype(float)
-    if not power.all():
-        raise ValueError("chain is periodic; the price-growth limit need not exist")
+    x, residual = (float(a[model.initial_state]) for a in _perron_table(model, tol))
+    return LongRateEstimate(x, ExtractionMethod.SPECTRAL, residual, 0.0, True)
 
+
+def _perron_table(model: MarkovChain, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's price-growth factor x, with a residual that bounds its error.
+
+    (D^T 1)_i grows like the largest Perron root of the discounted matrix D
+    over the classes that state i reaches; its residual is theirs at most.
+    A class's block B shares its Perron vector with B + sI, whose other
+    eigenvalues are smaller in modulus for any s > 0, periodic B included;
+    s = (largest row sum of B) / 16 keeps aperiodic classes about as quick
+    as s = 0. The root is the l1 growth under B of v <- (B + sI)^(2^k) v,
+    its residual the width of the Collatz-Wielandt bracket of Bv / v,
+    floored at 4 * k * eps * ratio on k states. Squaring stops once that is
+    at most ``tol``, and raises NonConvergenceError after 64 squarings.
+    """
+    n = model.n_states
+    # I | edges squared k times links walks of up to 2**k steps; n - 1 suffice
+    reach = ((model.transition > 0) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
     discounted = model.discounted_transition()
-    v = np.ones(n)
-    for power, _ in itertools.islice(_binary_powers(discounted), _MAX_SQUARINGS):
-        v = power @ (v / v.sum())
-        w = discounted @ v
-        # Collatz-Wielandt: for positive v the Perron root lies between the
-        # smallest and largest entry of Dv / v, and so does the l1 ratio
-        bracket = w / v
-        ratio = float(w.sum() / v.sum())
-        residual = max(float(bracket.max() - bracket.min()), 4 * n * _EPS * ratio)
-        if residual <= tol:
-            return LongRateEstimate(ratio, ExtractionMethod.SPECTRAL, residual, 0.0, True)
-    raise NonConvergenceError(
-        f"Perron squaring did not converge in {_MAX_SQUARINGS} squarings"
-    )
+    # a class: the states that reach one another, labelled by its first
+    label = np.argmax(reach * reach.T, axis=1)
+    root, width = np.zeros(n), np.zeros(n)
+    for members in (label == first for first in np.flatnonzero(label == np.arange(n))):
+        block, v = discounted[np.ix_(members, members)], np.ones(members.sum())
+        # a zero block, a state that leaves at once, has root 0 and any shift
+        shift = block.sum(axis=1).max() / 16 or 1.0
+        powers = _binary_powers(block + shift * np.eye(v.size))
+        for power, _ in itertools.islice(powers, _MAX_SQUARINGS):
+            v = power @ (v / v.sum())
+            w = block @ v
+            # for positive v the root and the l1 ratio lie in [min, max] of w / v
+            ratio, bracket = float(w.sum() / v.sum()), w / v
+            residual = max(float(bracket.max() - bracket.min()), 4 * v.size * _EPS * ratio)
+            if residual <= tol:
+                break
+        else:
+            raise NonConvergenceError(
+                f"Perron squaring did not converge in {_MAX_SQUARINGS} squarings"
+            )
+        root[members], width[members] = ratio, residual
+    return (reach * root).max(axis=1), (reach * width).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +208,7 @@ def long_zero_from_x(x_long: float, regime: Regime) -> float:
 
 
 def x_from_long_zero(z_long: float, regime: Regime) -> float:
+    """x = P(t, T)^(1/(T - t)) of zero rate z: 1 / (1 + z), or exp(-z)."""
     if not math.isfinite(z_long):
         raise ValueError("z must be finite")
     if regime is Regime.DISCRETE:

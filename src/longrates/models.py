@@ -13,10 +13,11 @@ The three share one protocol, so no caller needs to know which one it holds:
 ``regimes`` and ``require_regime(regime)``; ``label``; ``initial_state``;
 ``conditioned(state)``, the model restarted from a state; ``rate_of(state)``,
 the short rate in a state; and ``log_price_table(states, t, maturities,
-regime)``, log P(t, T) with one row per state and one column per maturity.
-Three private hooks complete it: ``_sample(grid, n, seed, stream)``, the one
-sampler, which only ``simulate_paths`` calls; ``_tower`` (the tower identity
-check); and ``_spectral`` (the exact long rate, chains only).
+regime)``, log P(t, T) with one row per state and one column per maturity,
+and ``long_rate_table(states, regime)``, each state's exact long zero rate.
+Two private hooks complete it: ``_sample(grid, n, seed, stream)``, the one
+sampler, which only ``simulate_paths`` calls, and ``_tower`` (the tower
+identity check).
 
 ``simulate_paths`` returns a ``ScenarioSet`` of arrays, keyed by regime, and
 every consumer reads scenarios from it through ``states_at``, ``rates_at``
@@ -166,10 +167,6 @@ class _Model:
                 f"{self.label} does not support the {regime.value} regime"
             )
 
-    def _spectral(self):
-        """Exact long rate as a `LongRateEstimate`, where one is known."""
-        return None
-
 
 @dataclass(frozen=True)
 class ConstantRate(_Model):
@@ -206,6 +203,10 @@ class ConstantRate(_Model):
         else:
             row = -self.rate * (np.asarray(maturities, dtype=float) - t)
         return np.tile(row, (len(states), 1))
+
+    def long_rate_table(self, states, regime: Regime) -> np.ndarray:
+        self.require_regime(regime)
+        return np.full(len(states), float(self.rate))
 
     def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
         # nothing to draw: a one-state chain, or paths without jumps
@@ -270,6 +271,11 @@ class PoissonJump(_Model):
         decay = np.array([math.expm1(-delta * x) for x in tau])
         rates = np.array([self.rate_of(state) for state in states])[:, None]
         return -rates * tau - lam * tau - lam * decay / delta
+
+    def long_rate_table(self, states, regime: Regime) -> np.ndarray:
+        """r + intensity, where the zero rate of `log_price_table` tends."""
+        self.require_regime(regime)
+        return np.array([self.rate_of(state) for state in states]) + self.intensity
 
     def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
         """Path i draws ``u = path_rng(seed, stream, i).random(1 + N_i)``:
@@ -351,8 +357,8 @@ class MarkovChain(_Model):
     """Finite-state chain of one-period rates with a row-stochastic matrix.
 
     Its members price through `pricing.chain_log_prices` and take the exact
-    long rate from `longrate.perron_long_rate`, looked up in those modules
-    at call time (they import this one).
+    long rate from `longrate._perron_table`, looked up in those modules at
+    call time (they import this one).
     """
 
     state_rates: np.ndarray
@@ -420,6 +426,14 @@ class MarkovChain(_Model):
         per_gap = pricing.chain_log_prices(self, gaps)
         return np.column_stack([per_gap[gap][rows] for gap in gaps])
 
+    def long_rate_table(self, states, regime: Regime) -> np.ndarray:
+        """1 / x - 1 for each state's Perron growth factor x."""
+        from . import longrate
+
+        self.require_regime(regime)
+        x = longrate._perron_table(self, 1e-12)[0]
+        return 1.0 / x[[self._index(state) for state in states]] - 1.0
+
     def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
         """Row i is the path that ``path_rng(seed, stream, i)`` draws: its
         uniforms, four steps at a time, pick each next state by inverse CDF.
@@ -457,11 +471,6 @@ class MarkovChain(_Model):
         idx = self.initial_state
         return float(lhs_vec[idx]), float(rhs_vec[idx]), gap, 0.0, 0, True
 
-    def _spectral(self):
-        from . import longrate
-
-        return longrate.perron_long_rate(self)
-
 
 ModelSpec = Union[ConstantRate, PoissonJump, MarkovChain]
 
@@ -474,10 +483,11 @@ def _window_grid(regime: Regime, horizon) -> TimeGrid:
 
 def _periods(t, maturities) -> np.ndarray:
     """Whole periods from t to each maturity; discrete times are integers."""
-    mats = np.asarray(maturities, dtype=float)
-    if float(t) != int(t) or not np.all(np.isfinite(mats) & (mats == np.trunc(mats))):
-        raise ValueError("discrete times must be integers")
-    return mats.astype(int) - int(t)
+    times = np.append(np.asarray(maturities, dtype=float), float(t))
+    # past 2**53 floats skip integers, and past 2**63 int64 wraps
+    if not np.all((times == np.trunc(times)) & (np.abs(times) <= 2.0**53)):
+        raise ValueError("discrete times must be integers of magnitude at most 2**53")
+    return times[:-1].astype(np.int64) - int(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,7 +548,7 @@ class ScenarioSet:
         if self.grid.regime is Regime.DISCRETE:
             return self.states[:, u]
         counts = [_jumps_upto(self.jump_times, self.offsets, v) for v in u]
-        return self.level + self.jump * np.column_stack(counts)
+        return self.level + self.jump * np.reshape(counts, (u.size, self.n_paths)).T
 
     def rates_at(self, times) -> np.ndarray:
         """Short rates at each time, one row per path."""

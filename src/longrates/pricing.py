@@ -75,8 +75,8 @@ class Curve:
     """Log zero-coupon prices on a maturity grid, with the forward, zero and
     price-growth (x) curves derived from them.
 
-    x(t, T) = exp(log P(t, T) / T) is the per-period growth factor whose
-    asymptote in T encodes the long rate.
+    x(t, T) = P(t, T)^(1/(T - t)), exp(-z) or 1 / (1 + z) for the zero rate
+    z, is the per-period growth factor whose asymptote encodes the long rate.
     """
 
     maturities: np.ndarray
@@ -247,7 +247,7 @@ def _curves(t, mats: np.ndarray, lp: np.ndarray, regime: Regime, lp_next=None) -
         forward[0] = -(lp[1] - lp[0]) / (mats[1] - mats[0])
         forward[-1] = -(lp[-1] - lp[-2]) / (mats[-1] - mats[-2])
         zero = -lp / (mats - t)
-    x = np.exp(lp / mats)
+    x = np.exp(lp / (mats - t))
     if np.any(x <= 0):
         raise ValueError("x values must be positive")
     return Curve(mats, lp, forward, zero, x)

@@ -2,10 +2,10 @@
 
 For each simulated scenario the harness builds discount curves at two
 observation times, conditioning on the realized state, extracts the
-asymptotic price-growth factor x at both times, and counts paths where x
-rises (equivalently, where the long zero rate falls) by more than a per-path
-tolerance derived from the extraction residuals. For finite-state chains the
-exact spectral long rate is attached as an independent oracle.
+asymptotic price-growth factor x = P(t, T)^(1/(T - t)) at both times, and
+counts paths where x rises (equivalently, where the long zero rate falls) by
+more than a per-path tolerance derived from the extraction residuals. The
+model's exact long rate (`long_rate_table`) is an independent oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .longrate import (
     NonConvergenceError,
     _check_schedule,
     _extract_table,
+    x_from_long_zero,
 )
 from .models import (
     ConstantRate,
@@ -77,8 +78,8 @@ class MonotonicityReport:
     violation_indices: np.ndarray
     change_quantiles: dict[str, float]
     n_nonconverged: int
-    spectral_value: float | None = None
-    spectral_gap: float | None = None
+    spectral_value: float
+    spectral_gap: float
 
     @property
     def n_paths(self) -> int:
@@ -175,20 +176,18 @@ def _certify(
 ) -> MonotonicityReport:
     """The certificate of `verify_dir` on scenarios that reach t.
 
-    Every model is time-homogeneous, so one table of log prices over the
-    schedule, one row per distinct state at either time, serves both
-    observation times: its curves at s and at t go through one extraction,
-    and every path reads its states' rows.
+    Every model is time-homogeneous, so x over time to maturity from a state
+    is one curve at s and at t: one table, a row per distinct state at either
+    time, goes through one extraction, and every path reads its states' rows,
+    as it does the model's exact x for the spectral gap.
     """
+    regime = scenarios.grid.regime
     distinct, inverse = np.unique(scenarios.states_at((s, t)), return_inverse=True)
     # log P(obs, obs + tau) from a state depends on tau only
-    table = model.log_price_table(distinct, 0, taus, scenarios.grid.regime)
-    curves = np.concatenate([np.exp(table / (float(u) + taus)) for u in (s, t)])
-    rows = (inverse.reshape(-1, 2) + [0, distinct.size]).T
+    curves = np.exp(model.log_price_table(distinct, 0, taus, regime) / taus)
+    rows = inverse.reshape(-1, 2).T
     # one row per time, one column per path
-    x, residual, converged = (
-        a[rows] for a in _extract_table(taus, curves, method, tol)
-    )
+    x, residual, converged = (a[rows] for a in _extract_table(taus, curves, method, tol))
     n_nonconv = int(converged.size - converged.sum())
     if n_nonconv > 0.01 * converged.size:
         raise NonConvergenceError(
@@ -197,18 +196,12 @@ def _certify(
         )
 
     (x_s, x_t), (res_s, res_t) = x, residual
-    violations, epsilon = monotonicity_violations(
-        x_s, x_t, res_s, res_t, epsilon_multiplier
-    )
+    violations, epsilon = monotonicity_violations(*x, *residual, epsilon_multiplier)
     qs = _quartiles(x_t - x_s)
     quantiles = dict(zip(("min", "q25", "median", "q75", "max"), map(float, qs)))
 
-    spectral_value = spectral_gap = None
-    spectral = model._spectral()
-    if spectral is not None:
-        spectral_value = spectral.value
-        spectral_gap = float(np.abs(x - spectral.value).max())
-
+    exact = [x_from_long_zero(z, regime) for z in
+             model.long_rate_table([model.initial_state, *distinct], regime)]
     return MonotonicityReport(
         model_id=model_id if model_id is not None else model.label,
         method=method,
@@ -225,8 +218,8 @@ def _certify(
         violation_indices=violations,
         change_quantiles=quantiles,
         n_nonconverged=int(n_nonconv),
-        spectral_value=spectral_value,
-        spectral_gap=spectral_gap,
+        spectral_value=exact[0],
+        spectral_gap=float(np.abs(x - np.array(exact[1:])[rows]).max()),
     )
 
 
@@ -292,11 +285,11 @@ def run_poisson_example(
     """Exercise the jump model end to end.
 
     Checks closed-form prices against Monte Carlo, the identity that the
-    extrapolated long zero rate equals the current rate plus the jump
-    intensity, per-path long-rate monotonicity between s and t, and the
-    spread of the time-t long rate seen from s. delta = 0 degenerates to the
-    constant model, where the long rate is just the rate and the spread is
-    exactly zero.
+    extrapolated long zero rate is the model's `long_rate_table` (the rate
+    plus the jump intensity), per-path long-rate monotonicity between s and
+    t, and the spread of the time-t long rate seen from s. delta = 0
+    degenerates to the constant model, where the long rate is just the rate
+    and the spread is exactly zero.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
@@ -322,8 +315,7 @@ def run_poisson_example(
         model, scenarios, s, t, taus, reciprocal, epsilon_multiplier, tol, None
     )
 
-    # long-zero identity at t, one row per distinct state; continuous-time
-    # states are the short rates themselves
+    # long-zero identity at t, one row per distinct state (a short rate)
     t = float(t)
     states_t = np.sort(scenarios.states_at((t,)), axis=None)
     states_t = states_t[np.diff(states_t, prepend=-np.inf) != 0]
@@ -331,8 +323,7 @@ def run_poisson_example(
     z_long, z_res, _ = _extract_table(
         taus, -log_prices / ((t + taus) - t), reciprocal, tol
     )
-    target = states_t + intensity if delta > 0 else states_t
-    gap = np.abs(z_long - target)
+    gap = np.abs(z_long - model.long_rate_table(states_t, regime))
     bound = epsilon_multiplier * z_res + _EPS_FLOOR * np.maximum(1.0, np.abs(z_long))
 
     # spread of the time-t long rate seen from s, via exact count draws

@@ -120,8 +120,7 @@ def test_criterion_4_theorem_suite():
                 assert report.passed, cell
                 assert report.n_violations == 0, cell
                 assert report.n_nonconverged == 0, cell
-                if report.spectral_gap is not None:
-                    assert report.spectral_gap <= 1e-4, cell
+                assert report.spectral_gap <= 1e-4, cell
 
 
 def test_criterion_5_forward_measure_identity():

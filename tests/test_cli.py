@@ -176,6 +176,75 @@ class TestVerifyMeasure:
         assert abs(summary["gap"]) <= 3.0 * summary["se"]
 
 
+class TestExactLongRates:
+    """Every model's exact long rate is the spectral row of long-rate and
+    the spectral value of verify-dir, reducible and periodic chains too."""
+
+    def chain(self, tmp_path, transition, rates=(0.0, 0.1)):
+        doc = json.loads((CONFIGS / "markov2.json").read_text())
+        doc["model"].update(transition=transition, state_rates=list(rates))
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("command", ["long-rate", "verify-dir"])
+    @pytest.mark.parametrize("transition,rates,root", [
+        ([[0.99, 0.01], [0.0, 1.0]], (0.01, 0.08), 0.99 / 1.01),
+        ([[1e-30, 1.0], [1.0, 1e-30]], (0.0, 0.1), math.sqrt(1.0 / 1.1)),
+    ], ids=["reducible", "nearly-periodic"])
+    def test_chain_certifies_against_its_root(self, tmp_path, command, transition,
+                                              rates, root):
+        config = self.chain(tmp_path, transition, rates)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--out", out) == EXIT_OK
+        summary = read_summary(out)
+        assert summary["spectral_value"] == pytest.approx(root, abs=1e-12)
+        assert summary["spectral_gap"] <= 1e-6
+
+    def test_swapped_prices_fail_verify_dir(self, tmp_path, monkeypatch, capsys):
+        # a negative control: the absorbing state takes the other state's
+        # prices, so x rises on every path absorbed between s and t
+        from longrates.models import MarkovChain
+
+        real = MarkovChain.log_price_table
+
+        def swapped(self, states, t, maturities, regime):
+            return real(self, [1 - int(state) for state in states], t, maturities, regime)
+
+        monkeypatch.setattr(MarkovChain, "log_price_table", swapped)
+        config = self.chain(tmp_path, [[0.99, 0.01], [0.0, 1.0]], (0.01, 0.08))
+        out = tmp_path / "out"
+        assert run_cli("verify-dir", "--config", config, "--out", out) == EXIT_VERIFY
+        summary = read_summary(out)
+        assert summary["passed"] is False
+        assert summary["n_violations"] > 0
+        flagged = sum(line.endswith(",true") for line in csv_lines(out / "report.csv"))
+        assert flagged == summary["n_violations"]
+
+    @pytest.mark.parametrize("name,quantity,exact", [
+        ("poisson.json", "zero", 0.05 + 0.5),
+        ("constant.json", "x", 1.0 / 1.03),
+    ])
+    def test_closed_form_models_report_their_long_rate(self, tmp_path, name,
+                                                       quantity, exact):
+        assert run_cli("long-rate", "--config", CONFIGS / name, "--out", tmp_path) == EXIT_OK
+        summary = read_summary(tmp_path)
+        assert summary["quantity"] == quantity
+        assert summary["spectral_value"] == pytest.approx(exact, rel=1e-15)
+        assert summary["spectral_gap"] == abs(summary["value"] - summary["spectral_value"])
+        lines = csv_lines(tmp_path / "long_rate.csv")
+        assert lines[2].startswith(f"spectral,{quantity},spectral,")
+        assert lines[2].endswith(",0,0,true")
+
+    def test_close_schedule_has_no_false_violations(self, tmp_path):
+        config = edited_config(tmp_path, "poisson.json", "schedule", "taus",
+                               [1000, 1010, 1020, 1030])
+        assert run_cli("verify-dir", "--config", config, "--out", tmp_path) == EXIT_OK
+        summary = read_summary(tmp_path)
+        assert summary["n_violations"] == 0
+        assert summary["change_quantiles"]["max"] == 0.0
+
+
 class TestVerifyDir:
     def test_markov2_run_is_clean(self, tmp_path):
         code = run_cli("verify-dir", "--config", CONFIGS / "markov2.json",
@@ -275,9 +344,11 @@ class TestResultContract:
     def test_unconverged_perron_root_aborts_without_a_traceback(
         self, tmp_path, capsys, command
     ):
-        # a valid chain, primitive but so nearly periodic that squaring stalls
-        config = edited_config(tmp_path, "markov2.json", "model", "transition",
-                               [[1e-30, 1.0], [1.0, 1e-30]])
+        # a valid chain whose Perron root, 1e4, squaring cannot bracket to
+        # 1e-12: the rounding floor alone, 4 n eps root, is 1.8e-11. Its x
+        # curves are flat at 1e4, so every extraction converges first
+        config = edited_config(tmp_path, "markov2.json", "model", "state_rates",
+                               [-0.9999, -0.9999])
         out = tmp_path / "out"
         assert run_cli(command, "--config", config, "--out", out) == EXIT_VERIFY
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -202,33 +204,76 @@ class TestPerron:
         with pytest.raises(RuntimeError, match="did not converge"):
             perron_long_rate(SYM2, tol=0.0)
 
-    def test_reducible_chain_rejected(self):
-        chain = MarkovChain([0.0, 0.1], [[1.0, 0.0], [0.5, 0.5]], 0)
-        with pytest.raises(ValueError, match="reducible"):
-            perron_long_rate(chain)
+    def test_reducible_chain_takes_the_largest_root_it_reaches(self):
+        # state 1 is absorbing; state 0 reaches it, and its own class is the
+        # singleton whose root is its discounted self-loop, 0.99 / 1.01
+        chain = MarkovChain([0.01, 0.08], [[0.99, 0.01], [0.0, 1.0]], 0)
+        est = perron_long_rate(chain)
+        assert est.converged
+        assert est.value == pytest.approx(0.99 / 1.01, abs=1e-15)
+        assert abs(est.value - 0.99 / 1.01) <= est.residual <= 1e-12
+        absorbed = perron_long_rate(chain.conditioned(1))
+        assert absorbed.value == pytest.approx(1.0 / 1.08, abs=1e-15)
+        # the same chain with its states renumbered: a class is not the set
+        # of states whose first reachable state is the same
+        mirrored = MarkovChain([0.08, 0.01], [[1.0, 0.0], [0.01, 0.99]], 1)
+        assert perron_long_rate(mirrored).value == pytest.approx(0.99 / 1.01, abs=1e-15)
+        # an absorbing class with the larger root wins from every state
+        chain = MarkovChain([0.0, 0.1], [[1.0, 0.0], [0.5, 0.5]], 1)
+        assert perron_long_rate(chain).value == pytest.approx(1.0, abs=1e-15)
 
-    def test_periodic_chain_rejected(self):
-        chain = MarkovChain([0.0, 0.1], [[0.0, 1.0], [1.0, 0.0]], 0)
-        with pytest.raises(ValueError, match="periodic"):
-            perron_long_rate(chain)
+    def test_a_state_that_leaves_at_once_adds_a_zero_root(self):
+        # states 0 and 1 are singleton classes without a self-loop
+        chain = MarkovChain([0.0, 0.05, 0.1], [[0, 1, 0], [0, 0, 1], [0, 0, 1]], 0)
+        for state in range(3):
+            est = perron_long_rate(chain.conditioned(state))
+            assert est.value == pytest.approx(1.0 / 1.1, abs=1e-15)
+
+    def test_a_state_carries_the_residual_of_the_classes_it_reaches(self):
+        # state 0 leaves at once (its own root 0 is exact) for markov2's pair
+        chain = MarkovChain([0.0, 0.0, 0.1], [[0, 1, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]], 0)
+        est, pair = perron_long_rate(chain), perron_long_rate(chain.conditioned(1))
+        assert est.value == pair.value == pytest.approx(21.0 / 22.0, abs=1e-15)
+        assert est.residual == pair.residual > 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-30])
+    def test_periodic_chain_converges_to_its_root(self, eps):
+        # eigenvalues +-rho of D: only the shift by s separates them
+        chain = MarkovChain([0.0, 0.1], [[eps, 1.0 - eps], [1.0, eps]], 0)
+        est = perron_long_rate(chain)
+        root = math.sqrt(1.0 / 1.1)
+        assert est.converged
+        assert abs(est.value - root) <= est.residual <= 1e-12
 
     def test_random_patterns_match_brute_force_powers(self):
-        # reference from the definitions, one matrix power at a time: every
-        # state reaches every other within n - 1 steps, and some power
-        # A^k with k <= (n - 1)^2 + 1 (Wielandt's bound) is all positive
-        def expected_refusal(pattern):
+        # reference from the definitions, one matrix power at a time: j is
+        # reachable from i within n - 1 steps, and the classes are the sets
+        # of states that reach one another. A state's root is the largest
+        # eigvals modulus over the blocks of the classes it reaches. The kind
+        # of pattern only checks that the sample covers all three: an
+        # irreducible pattern is periodic unless some power A^k with
+        # k <= (n - 1)^2 + 1 (Wielandt's bound) is all positive
+        def reference(chain, pattern):
             n = len(pattern)
             step = np.eye(n, dtype=int)
             powers = []
             for _ in range((n - 1) ** 2 + 1):
                 step = np.minimum(step @ pattern, 1)
                 powers.append(step)
-            if not (np.eye(n, dtype=int) + sum(powers[: n - 1])).all():
-                return "reducible"
-            return None if any(p.all() for p in powers) else "periodic"
+            reach = (np.eye(n, dtype=int) + sum(powers[: n - 1])) > 0
+            d = chain.discounted_transition()
+            roots = []
+            for j in range(n):
+                cls = np.flatnonzero(reach[j] & reach[:, j])
+                roots.append(np.abs(np.linalg.eigvals(d[np.ix_(cls, cls)])).max())
+            if not reach.all():
+                kind = "reducible"
+            else:
+                kind = "irreducible" if any(p.all() for p in powers) else "periodic"
+            return [max(r for r, hit in zip(roots, row) if hit) for row in reach], kind
 
         rng = np.random.default_rng(2024)
-        seen = {"reducible": 0, "periodic": 0, None: 0}
+        seen = {"reducible": 0, "periodic": 0, "irreducible": 0}
         for _ in range(300):
             n = int(rng.integers(1, 7))
             pattern = (rng.random((n, n)) < rng.uniform(0.1, 0.6)).astype(int)
@@ -244,13 +289,12 @@ class TestPerron:
             chain = MarkovChain(
                 rng.uniform(0.0, 0.1, n), weights / weights.sum(axis=1)[:, None], 0
             )
-            want = expected_refusal(pattern)
-            seen[want] += 1
-            if want is None:
-                assert perron_long_rate(chain).converged
-            else:
-                with pytest.raises(ValueError, match=want):
-                    perron_long_rate(chain)
+            want, kind = reference(chain, pattern)
+            seen[kind] += 1
+            for state, root in enumerate(want):
+                est = perron_long_rate(chain.conditioned(state))
+                assert est.converged and est.residual <= 1e-12
+                assert est.value == pytest.approx(root, abs=1e-12), (pattern, state)
         assert min(seen.values()) >= 20, seen
 
     def test_extraction_agrees_with_spectral_oracle(self):

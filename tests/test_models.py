@@ -20,6 +20,7 @@ from longrates.models import (
     path_rng,
     simulate_paths,
 )
+from longrates.longrate import x_from_long_zero
 from longrates.verify import standard_fleet, verify_dir
 
 from jump_law import sample_jump_times
@@ -496,6 +497,12 @@ class TestJumpPath:
         with pytest.raises(ValueError, match="time outside"):
             scen.states_at((math.nan,))
 
+    def test_no_times_give_no_columns_in_either_regime(self):
+        for scen in (jump_set(0.02, 0.5, [[1.0], []], 5.0),
+                     lattice_set([0.1, 0.2], [0.3, 0.4])):
+            assert scen.states_at([]).shape == (2, 0)
+            assert scen.rates_at([]).shape == (2, 0)
+
     def test_nan_jump_time_is_refused(self):
         with pytest.raises(ValueError, match="time outside"):
             jump_set(0.02, 0.5, [[1.0, math.nan]], 5.0)
@@ -552,6 +559,18 @@ class TestBankAccount:
         scen = lattice_set([0.1, 0.2])
         with pytest.raises(ValueError, match="integers"):
             scen.discounts(0, 0.5)
+
+    @pytest.mark.parametrize("big", [1e19, -1e19, 2.0**53 + 2, math.inf])
+    def test_discrete_times_past_float_integers_are_refused(self, big):
+        # an int64 cast would wrap 1e19 into a negative horizon
+        with pytest.raises(ValueError, match=r"integers of magnitude at most 2\*\*53"):
+            SYM2.log_price_table([None], 0, [big], Regime.DISCRETE)
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            SYM2.log_price_table([None], big, [1], Regime.DISCRETE)
+
+    def test_discrete_times_up_to_2_53_are_whole_periods(self):
+        table = SYM2.log_price_table([None], 0, [2.0**53], Regime.DISCRETE)
+        assert table[0, 0] == pytest.approx(2.0**53 * math.log(21.0 / 22.0), rel=1e-6)
 
     def test_discrete_rejects_a_reversed_window(self):
         scen = simulate_paths(SYM2, TimeGrid(Regime.DISCRETE, 8), 4, 0)
@@ -723,6 +742,13 @@ class TestProtocol:
         assert np.all(table[:, 0] == 0.0)
         assert np.all(table[:, 1] < 0.0)
 
+    def test_long_rate_table_is_where_the_zero_rate_tends(self, model, regime):
+        table = model.long_rate_table([None, model.initial_state], regime)
+        assert table.shape == (2,) and table[0] == table[1]
+        tau = 1e7
+        x_far = math.exp(model.log_price_table([None], 0, [tau], regime)[0, 0] / tau)
+        assert x_from_long_zero(table[0], regime) == pytest.approx(x_far, abs=1e-6)
+
     def test_default_model_id_is_the_label(self, model, regime):
         report = verify_dir(model, 0, 1, (125, 250, 500, 1000), 20, 1, regime)
         assert report.model_id == model.label
@@ -737,5 +763,7 @@ class TestProtocol:
                 model.require_regime(other)
             with pytest.raises(ValueError, match="regime"):
                 model.log_price_table([None], 0, self.MATURITIES, other)
+            with pytest.raises(ValueError, match="regime"):
+                model.long_rate_table([None], other)
             with pytest.raises(ValueError, match="regime"):
                 simulate_paths(model, four_period_grid(other), 1, 0)

@@ -176,6 +176,15 @@ def test_scenario_times_have_one_check():
     assert not hasattr(models.ScenarioSet, "_jump_counts")
 
 
+def test_exact_long_rates_have_one_member():
+    # long_rate_table is the one route to a model's exact long rate
+    for name in MODEL_CLASSES:
+        cls = getattr(models, name)
+        assert callable(cls.long_rate_table)
+        assert not hasattr(cls, "_spectral")
+    assert not hasattr(models._Model, "_spectral")
+
+
 def _philox_sites(tree: ast.AST, scope: str = "<module>") -> list[str]:
     """The enclosing function of each call that builds a Philox generator."""
     sites = []

@@ -184,10 +184,34 @@ class TestVerifyDir:
     def test_poisson_long_rate_only_moves_down(self):
         report = verify_dir(POISSON, 0.0, 5.0, SCHEDULE, 200, 3, Regime.CONTINUOUS)
         assert report.passed
-        assert report.spectral_value is None
+        # the exact long zero rate from r0 is r0 + intensity
+        assert report.spectral_value == math.exp(-(0.05 + 0.5))
+        assert report.spectral_gap <= 1e-4
         # jumps raise the long zero rate, so x visibly drops on some path
         assert report.change_quantiles["min"] <= -0.01
         assert report.change_quantiles["max"] <= report.epsilon_max
+
+    @pytest.mark.parametrize("model,s,t,regime", [
+        (SYM2, 2, 7, Regime.DISCRETE),
+        (CHAIN16, 2, 7, Regime.DISCRETE),
+        (POISSON, 0.5, 4.0, Regime.CONTINUOUS),
+    ])
+    def test_a_path_that_keeps_its_state_keeps_its_x(self, model, s, t, regime):
+        # x over time to maturity is one curve per state, whatever the time
+        report = verify_dir(model, s, t, SCHEDULE, 300, 5, regime)
+        grid = TimeGrid(regime, t) if regime is Regime.DISCRETE else TimeGrid(regime, t, t)
+        states = simulate_paths(model, grid, 300, 5).states_at((s, t))
+        same = states[:, 0] == states[:, 1]
+        assert same.any()
+        assert np.array_equal(report.x_s[same], report.x_t[same])
+        assert np.array_equal(report.residual_s[same], report.residual_t[same])
+
+    def test_close_schedule_gives_no_false_violations(self):
+        # x over absolute maturity rose by O(t / tau) on paths without a jump
+        report = verify_dir(POISSON, 0.0, 5.0, (1000, 1010, 1020, 1030), 2000, 1,
+                            Regime.CONTINUOUS)
+        assert report.passed and report.n_nonconverged == 0
+        assert report.change_quantiles["max"] == 0.0
 
     @pytest.mark.parametrize("model,s,t,regime", [
         (CHAIN16, 2, 7, Regime.DISCRETE),
@@ -239,6 +263,46 @@ class TestVerifyDir:
             verify_dir(SYM2, 0, 2, SCHEDULE, 0, 0, Regime.DISCRETE)
         with pytest.raises(ValueError, match="regime"):
             verify_dir(POISSON, 0, 2, SCHEDULE, 10, 0, Regime.DISCRETE)
+
+
+REDUCIBLE = MarkovChain([0.01, 0.08], [[0.99, 0.01], [0.0, 1.0]], 0)
+
+
+class TestReducibleChain:
+    """State 1 absorbs; from state 0 the long rate is that of its own
+    discounted self-loop, x = 0.99 / 1.01, and from state 1 x = 1 / 1.08."""
+
+    TAUS = (62, 125, 250, 500)
+
+    def absorbed(self, s, t, n, seed):
+        grid = TimeGrid(Regime.DISCRETE, t)
+        states = simulate_paths(REDUCIBLE, grid, n, seed).states_at((s, t))
+        return np.flatnonzero((states[:, 0] == 0) & (states[:, 1] == 1))
+
+    def test_certifies_against_its_exact_table(self):
+        report = verify_dir(REDUCIBLE, 2, 7, self.TAUS, 2000, 42, Regime.DISCRETE)
+        assert report.passed and report.n_nonconverged == 0
+        assert report.spectral_value == pytest.approx(0.99 / 1.01, abs=1e-12)
+        assert report.spectral_gap <= 1e-6
+        absorbed = self.absorbed(2, 7, 2000, 42)
+        assert absorbed.size > 0
+        fall = report.x_t[absorbed] - report.x_s[absorbed]
+        assert np.allclose(fall, 1.0 / 1.08 - 0.99 / 1.01, atol=1e-6)
+
+    def test_swapped_table_flags_exactly_the_absorbed_paths(self, monkeypatch):
+        # a negative control: give the absorbing state the other state's
+        # prices, so that x rises on absorption, and the harness must see it
+        real = MarkovChain.log_price_table
+
+        def swapped(self, states, t, maturities, regime):
+            return real(self, [1 - int(state) for state in states], t, maturities, regime)
+
+        monkeypatch.setattr(MarkovChain, "log_price_table", swapped)
+        report = verify_dir(REDUCIBLE, 2, 7, self.TAUS, 2000, 42, Regime.DISCRETE)
+        absorbed = self.absorbed(2, 7, 2000, 42)
+        assert absorbed.size > 50
+        assert not report.passed
+        assert np.array_equal(report.violation_indices, absorbed)
 
 
 class TestPoissonExample:
