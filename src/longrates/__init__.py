@@ -31,11 +31,11 @@ _EXPORTS = {
         "tower_identity_check",
     ),
     "models": (
-        "ConstantRate", "MarkovChain", "PoissonJump", "Regime", "ScenarioSet",
-        "TimeGrid", "path_rng", "simulate_paths",
+        "ConstantRate", "MarkovChain", "McEstimate", "PoissonJump", "Regime",
+        "ScenarioSet", "TimeGrid", "path_rng", "simulate_paths",
     ),
     "pricing": (
-        "Curve", "McEstimate", "build_curves", "chain_log_prices",
+        "Curve", "build_curves", "chain_log_prices",
         "curves_from_log_prices", "log_price_closed_form", "price_closed_form",
         "price_mc", "short_rate_consistency",
     ),

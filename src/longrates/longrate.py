@@ -4,20 +4,20 @@ The long rate is the large-maturity asymptote of a curve quantity (the
 price-growth factor x or the zero rate z). Two estimators read it off a
 finite tail. For finite-state chains the exact value is available
 independently: from each state, the largest Perron root of the discounted
-transition matrix over the communicating classes that the state reaches.
+transition matrix over the communicating classes that the state reaches,
+which `perron_long_rate` reads from the chain's table in `models`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import _MIN_TAUS, ExtractionMethod, NonConvergenceError
-from .models import MarkovChain, ModelSpec, Regime
-from .pricing import _binary_powers, build_curves
+from .models import MarkovChain, ModelSpec, Regime, _perron_table
+from .pricing import build_curves
 
 __all__ = [
     "ExtractionMethod",
@@ -112,12 +112,10 @@ def _intercepts(taus: np.ndarray, curves: np.ndarray) -> np.ndarray:
     return value
 
 
-_MAX_SQUARINGS = 64  # v has then taken 2^64 - 1 steps of B + sI
-_EPS = np.finfo(float).eps
 # relative float floor of the violation rule, added to every per-path
 # tolerance so that exactly flat curves (zero residual) still get a strictly
 # positive epsilon
-_EPS_FLOOR = 64.0 * _EPS
+_EPS_FLOOR = 64.0 * np.finfo(float).eps
 
 
 def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate:
@@ -126,49 +124,6 @@ def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate
         raise ValueError("spectral long rate is defined for finite chains")
     x, residual = (float(a[model.initial_state]) for a in _perron_table(model, tol))
     return LongRateEstimate(x, ExtractionMethod.SPECTRAL, residual, 0.0, True)
-
-
-def _perron_table(model: MarkovChain, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each state's price-growth factor x, with a residual that bounds its error.
-
-    (D^T 1)_i grows like the largest Perron root of the discounted matrix D
-    over the classes that state i reaches; its residual is theirs at most.
-    A class's block B shares its Perron vector with B + sI, whose other
-    eigenvalues are smaller in modulus for any s > 0, periodic B included;
-    s = (largest row sum of B) / 16 keeps aperiodic classes about as quick
-    as s = 0. The root is the l1 growth under B of v <- (B + sI)^(2^k) v,
-    its residual the width of the Collatz-Wielandt bracket of Bv / v,
-    floored at 4 * k * eps * ratio on k states. Squaring stops once that is
-    at most ``tol``, and raises NonConvergenceError after 64 squarings.
-    """
-    n = model.n_states
-    # I | edges squared k times links walks of up to 2**k steps; n - 1 suffice
-    reach = ((model.transition > 0) | np.eye(n, dtype=bool)).astype(float)
-    for _ in range(n.bit_length()):
-        reach = np.minimum(reach @ reach, 1.0)
-    discounted = model.discounted_transition()
-    # a class: the states that reach one another, labelled by its first
-    label = np.argmax(reach * reach.T, axis=1)
-    root, width = np.zeros(n), np.zeros(n)
-    for members in (label == first for first in np.flatnonzero(label == np.arange(n))):
-        block, v = discounted[np.ix_(members, members)], np.ones(members.sum())
-        # a zero block, a state that leaves at once, has root 0 and any shift
-        shift = block.sum(axis=1).max() / 16 or 1.0
-        powers = _binary_powers(block + shift * np.eye(v.size))
-        for power, _ in itertools.islice(powers, _MAX_SQUARINGS):
-            v = power @ (v / v.sum())
-            w = block @ v
-            # for positive v the root and the l1 ratio lie in [min, max] of w / v
-            ratio, bracket = float(w.sum() / v.sum()), w / v
-            residual = max(float(bracket.max() - bracket.min()), 4 * v.size * _EPS * ratio)
-            if residual <= tol:
-                break
-        else:
-            raise NonConvergenceError(
-                f"Perron squaring did not converge in {_MAX_SQUARINGS} squarings"
-            )
-        root[members], width[members] = ratio, residual
-    return (reach * root).max(axis=1), (reach * width).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

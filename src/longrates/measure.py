@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, Regime, ScenarioSet
-from .pricing import McEstimate
+from .models import McEstimate, ModelSpec, Regime, ScenarioSet
 
 __all__ = ["ForwardWeights", "TowerReport", "rn_weights", "forward_expectation",
            "tower_identity_check"]
@@ -76,7 +75,9 @@ def forward_expectation(weights: ForwardWeights, payoff) -> McEstimate:
 
 @dataclass(frozen=True)
 class TowerReport:
-    """Comparison of P(s, T) with the reweighted forecast of P(t, T)."""
+    """Comparison of P(s, T) with the reweighted forecast of P(t, T) at the
+    initial state. A chain's gap is the largest |rhs - lhs| over all its
+    states; the other models report rhs - lhs at the initial state."""
 
     s: float
     t: float

@@ -17,7 +17,9 @@ regime)``, log P(t, T) with one row per state and one column per maturity,
 and ``long_rate_table(states, regime)``, each state's exact long zero rate.
 Two private hooks complete it: ``_sample(grid, n, seed, stream)``, the one
 sampler, which only ``simulate_paths`` calls, and ``_tower`` (the tower
-identity check).
+identity check). Each model implements them here, the chain's linear algebra
+(`_price_pass`, `_advance`, `_perron_table`) included, so this module
+imports no layer above it.
 
 ``simulate_paths`` returns a ``ScenarioSet`` of arrays, keyed by regime, and
 every consumer reads scenarios from it through ``states_at``, ``rates_at``
@@ -50,6 +52,7 @@ once, for the paths with that many jumps.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,6 +69,7 @@ __all__ = [
     "PoissonJump",
     "MarkovChain",
     "ModelSpec",
+    "McEstimate",
     "ScenarioSet",
     "path_rng",
     "simulate_paths",
@@ -76,6 +80,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _ROW_SUM_TOL = 1e-12
+_EPS = np.finfo(float).eps
+_MAX_SQUARINGS = 64  # v has then taken 2^64 - 1 steps of B + sI
 # float entries that one pass of a sampler or of continuous discounts may
 # hold in temporary arrays
 _CELLS = 1 << 17
@@ -118,6 +124,32 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must be an integer")
     if not 0 <= int(seed) <= _MASK64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
+@dataclass(frozen=True)
+class McEstimate:
+    """Monte Carlo estimate with standard error of the mean."""
+
+    value: float
+    std_error: float
+    n: int
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> McEstimate:
+        """Sample mean of a vector of draws and its standard error."""
+        n = int(samples.size)
+        return cls(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)), n)
+
+    def z_score(self, reference: float) -> float:
+        """Standard errors from a reference value; agreement at float
+        precision is exact (0.0), so degenerate samples cannot turn rounding
+        noise into a huge z. A real gap with no standard error gives inf."""
+        diff = self.value - reference
+        if abs(diff) <= 16.0 * _EPS * max(1.0, abs(reference)):
+            return 0.0
+        if self.std_error > 0:
+            return diff / self.std_error
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -330,12 +362,10 @@ class PoissonJump(_Model):
 
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
         """Simulated continuations of [s, t] from the initial state."""
-        from . import pricing
-
         if n < 2:
             raise ValueError("need at least 2 paths")
         window = float(t - s)
-        lhs = pricing.price_closed_form(self, self.r0, s, T, regime)
+        lhs = math.exp(self.log_price_table([self.r0], s, [T], regime)[0, 0])
         if window == 0.0:
             return lhs, lhs, 0.0, 0.0, n, False
         scen = simulate_paths(
@@ -348,7 +378,7 @@ class PoissonJump(_Model):
         prices = np.fromiter(
             map(math.exp, self.log_price_table(ends, t, [T], regime)[:, 0]), float
         )
-        rhs = pricing.McEstimate.of(scen.discounts(0.0, window) * prices[counts])
+        rhs = McEstimate.of(scen.discounts(0.0, window) * prices[counts])
         return lhs, rhs.value, rhs.value - lhs, rhs.std_error, n, False
 
 
@@ -356,9 +386,8 @@ class PoissonJump(_Model):
 class MarkovChain(_Model):
     """Finite-state chain of one-period rates with a row-stochastic matrix.
 
-    Its members price through `pricing.chain_log_prices` and take the exact
-    long rate from `longrate._perron_table`, looked up in those modules at
-    call time (they import this one).
+    Its members price through `_price_pass`, the binary powers of the
+    discounted matrix, and take the exact long rate from `_perron_table`.
     """
 
     state_rates: np.ndarray
@@ -417,21 +446,17 @@ class MarkovChain(_Model):
         return float(self.state_rates[self._index(state)])
 
     def log_price_table(self, states, t, maturities, regime: Regime) -> np.ndarray:
-        """One `chain_log_prices` pass serves every state and maturity."""
-        from . import pricing
-
+        """One `_price_pass` serves every state and maturity."""
         self.require_regime(regime)
         gaps = _periods(t, maturities)
         rows = [self._index(state) for state in states]
-        per_gap = pricing.chain_log_prices(self, gaps)
+        per_gap = _price_pass(self, gaps)[0]
         return np.column_stack([per_gap[gap][rows] for gap in gaps])
 
     def long_rate_table(self, states, regime: Regime) -> np.ndarray:
         """1 / x - 1 for each state's Perron growth factor x."""
-        from . import longrate
-
         self.require_regime(regime)
-        x = longrate._perron_table(self, 1e-12)[0]
+        x = _perron_table(self, 1e-12)[0]
         return 1.0 / x[[self._index(state) for state in states]] - 1.0
 
     def _sample(self, grid: TimeGrid, n: int, seed: int, stream: int) -> ScenarioSet:
@@ -460,12 +485,10 @@ class MarkovChain(_Model):
     def _tower(self, s, t, T, regime: Regime, n: int, seed: int) -> tuple:
         """Exact: the binary powers of the discounted one-step operator carry
         P(t, T) back to s from every state; the gap is the worst state's."""
-        from . import pricing
-
         n_st, n_sT = _periods(s, (t, T)).tolist()
-        lp, powers = pricing._chain_log_prices_and_powers(self, [n_sT, n_sT - n_st])
+        lp, powers = _price_pass(self, [n_sT, n_sT - n_st])
         lhs_vec = np.exp(lp[n_sT])
-        v, log_scale = pricing._advance(powers, np.exp(lp[n_sT - n_st]), n_st)
+        v, log_scale = _advance(powers, np.exp(lp[n_sT - n_st]), n_st)
         rhs_vec = v * math.exp(log_scale)
         gap = float(np.abs(rhs_vec - lhs_vec).max())
         idx = self.initial_state
@@ -488,6 +511,91 @@ def _periods(t, maturities) -> np.ndarray:
     if not np.all((times == np.trunc(times)) & (np.abs(times) <= 2.0**53)):
         raise ValueError("discrete times must be integers of magnitude at most 2**53")
     return times[:-1].astype(np.int64) - int(t)
+
+
+def _price_pass(model: MarkovChain, horizons) -> tuple[dict, list]:
+    """Log n-period prices D^n 1 from every chain state, n in horizons, and
+    the binary powers of D taken, with which `_advance` carries further
+    vectors. One product with a binary power per set bit of n, so a
+    horizon's prices do not depend on which other horizons are asked for."""
+    want = sorted({int(n) for n in horizons})
+    if want and want[0] < 0:
+        raise ValueError("horizons must be non-negative")
+    squarings = _binary_powers(model.discounted_transition())
+    powers = list(itertools.islice(squarings, max(want, default=0).bit_length()))
+    out = {}
+    for n in want:
+        v, log_scale = _advance(powers, np.ones(model.n_states), n)
+        out[n] = log_scale + np.log(v)
+    return out, powers
+
+
+def _binary_powers(power: np.ndarray):
+    """Yield D^(2^k), k = 0, 1, ..., as (power rescaled to a largest entry of
+    1, log scale); each squaring doubles the power's relative rounding error."""
+    log_scale = 0.0
+    while True:
+        top = float(power.max())
+        power, log_scale = power / top, log_scale + math.log(top)
+        yield power, log_scale
+        power, log_scale = power @ power, 2.0 * log_scale
+
+
+def _advance(powers, v: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
+    """D^steps v as (vector, log scale), from the binary powers of D in order:
+    one product per set bit of steps, each followed by a rescaling of v."""
+    log_scale = 0.0
+    for k, (power, power_scale) in zip(range(steps.bit_length()), powers):
+        if steps >> k & 1:
+            v = power @ v
+            top = float(v.max())
+            v, log_scale = v / top, log_scale + power_scale + math.log(top)
+    return v, log_scale
+
+
+def _perron_table(model: MarkovChain, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's price-growth factor x, with a residual that bounds its error.
+
+    (D^T 1)_i grows like the largest Perron root of the discounted matrix D
+    over the classes that state i reaches; its residual is theirs at most.
+    A class's block B shares its Perron vector with B + sI, whose other
+    eigenvalues are smaller in modulus for any s > 0, periodic B included;
+    s = (largest row sum of B) / 16 keeps aperiodic classes about as quick
+    as s = 0. The root is the l1 growth under B of v <- (B + sI)^(2^k) v,
+    its residual the width of the Collatz-Wielandt bracket of Bv / v,
+    floored at 4 * k * eps * ratio on k states. Squaring stops once that is
+    at most ``tol * max(1, ratio)``, as the floor grows with the root, and
+    raises NonConvergenceError after 64 squarings.
+    """
+    n = model.n_states
+    # I | edges squared k times links walks of up to 2**k steps; n - 1 suffice
+    reach = ((model.transition > 0) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    discounted = model.discounted_transition()
+    # a class: the states that reach one another, labelled by its first
+    label = np.argmax(reach * reach.T, axis=1)
+    root, width = np.zeros(n), np.zeros(n)
+    for members in (label == first for first in np.flatnonzero(label == np.arange(n))):
+        block, v = discounted[np.ix_(members, members)], np.ones(members.sum())
+        # a zero block, a state that leaves at once, has root 0 and any shift
+        shift = block.sum(axis=1).max() / 16 or 1.0
+        powers = _binary_powers(block + shift * np.eye(v.size))
+        for power, _ in itertools.islice(powers, _MAX_SQUARINGS):
+            v = power @ (v / v.sum())
+            w = block @ v
+            # for positive v the root and the l1 ratio lie in [min, max] of w / v
+            ratio, bracket = float(w.sum() / v.sum()), w / v
+            residual = max(float(bracket.max() - bracket.min()), 4 * v.size * _EPS * ratio)
+            if residual <= tol * max(1.0, ratio):
+                break
+        else:
+            from .config import NonConvergenceError  # a leaf; mc runs never load it
+            raise NonConvergenceError(
+                f"Perron squaring did not converge in {_MAX_SQUARINGS} squarings"
+            )
+        root[members], width[members] = ratio, residual
+    return (reach * root).max(axis=1), (reach * width).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,6 @@ the observed state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,9 +23,11 @@ import numpy as np
 from .models import (
     STREAM_PRICING,
     MarkovChain,
+    McEstimate,
     ModelSpec,
     Regime,
     _periods,
+    _price_pass,
     _window_grid,
     simulate_paths,
 )
@@ -42,32 +43,6 @@ __all__ = [
     "curves_from_log_prices",
     "short_rate_consistency",
 ]
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo estimate with standard error of the mean."""
-
-    value: float
-    std_error: float
-    n: int
-
-    @classmethod
-    def of(cls, samples: np.ndarray) -> McEstimate:
-        """Sample mean of a vector of draws and its standard error."""
-        n = int(samples.size)
-        return cls(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)), n)
-
-    def z_score(self, reference: float) -> float:
-        """Standard errors from a reference value; agreement at float
-        precision is exact (0.0), so degenerate samples cannot turn rounding
-        noise into a huge z. A real gap with no standard error gives inf."""
-        diff = self.value - reference
-        if abs(diff) <= 16.0 * np.finfo(float).eps * max(1.0, abs(reference)):
-            return 0.0
-        if self.std_error > 0:
-            return diff / self.std_error
-        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,51 +80,9 @@ def price_closed_form(
 
 
 def chain_log_prices(model: MarkovChain, horizons) -> dict[int, np.ndarray]:
-    """Log n-period prices from every chain state, for each n in horizons.
-
-    D^n 1, for the discounted transition matrix D, takes one product with a
-    binary power of D per set bit of n, so a horizon's prices do not depend
-    on which other horizons are asked for.
-    """
-    return _chain_log_prices_and_powers(model, horizons)[0]
-
-
-def _chain_log_prices_and_powers(model: MarkovChain, horizons) -> tuple[dict, list]:
-    """`chain_log_prices`, and the binary powers of D it took, so that a
-    caller can carry further vectors with `_advance` without squaring again."""
-    want = sorted({int(n) for n in horizons})
-    if want and want[0] < 0:
-        raise ValueError("horizons must be non-negative")
-    squarings = _binary_powers(model.discounted_transition())
-    powers = list(itertools.islice(squarings, max(want, default=0).bit_length()))
-    out = {}
-    for n in want:
-        v, log_scale = _advance(powers, np.ones(model.n_states), n)
-        out[n] = log_scale + np.log(v)
-    return out, powers
-
-
-def _binary_powers(power: np.ndarray):
-    """Yield D^(2^k), k = 0, 1, ..., as (power rescaled to a largest entry of
-    1, log scale); each squaring doubles the power's relative rounding error."""
-    log_scale = 0.0
-    while True:
-        top = float(power.max())
-        power, log_scale = power / top, log_scale + math.log(top)
-        yield power, log_scale
-        power, log_scale = power @ power, 2.0 * log_scale
-
-
-def _advance(powers, v: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
-    """D^steps v as (vector, log scale), from the binary powers of D in order:
-    one product per set bit of steps, each followed by a rescaling of v."""
-    log_scale = 0.0
-    for k, (power, power_scale) in zip(range(steps.bit_length()), powers):
-        if steps >> k & 1:
-            v = power @ v
-            top = float(v.max())
-            v, log_scale = v / top, log_scale + power_scale + math.log(top)
-    return v, log_scale
+    """Log n-period prices from every chain state, for each n in horizons,
+    from the chain's one price pass (`models._price_pass`)."""
+    return _price_pass(model, horizons)[0]
 
 
 def price_mc(

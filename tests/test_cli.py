@@ -201,6 +201,17 @@ class TestExactLongRates:
         assert summary["spectral_value"] == pytest.approx(root, abs=1e-12)
         assert summary["spectral_gap"] <= 1e-6
 
+    @pytest.mark.parametrize("command", ["long-rate", "verify-dir"])
+    def test_root_far_above_one_certifies(self, tmp_path, command):
+        # x is 1e4 from both states: the rounding floor of the Perron
+        # bracket, 4 n eps root = 1.8e-11, is within 1e-12 * root
+        config = self.chain(tmp_path, [[0.5, 0.5], [0.5, 0.5]], (-0.9999, -0.9999))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--out", out) == EXIT_OK
+        summary = read_summary(out)
+        assert summary["spectral_value"] == pytest.approx(1e4, rel=1e-12)
+        assert summary["spectral_gap"] <= 1e-12 * 1e4
+
     def test_swapped_prices_fail_verify_dir(self, tmp_path, monkeypatch, capsys):
         # a negative control: the absorbing state takes the other state's
         # prices, so x rises on every path absorbed between s and t
@@ -342,15 +353,16 @@ class TestResultContract:
 
     @pytest.mark.parametrize("command", ["long-rate", "verify-dir"])
     def test_unconverged_perron_root_aborts_without_a_traceback(
-        self, tmp_path, capsys, command
+        self, tmp_path, capsys, monkeypatch, command
     ):
-        # a valid chain whose Perron root, 1e4, squaring cannot bracket to
-        # 1e-12: the rounding floor alone, 4 n eps root, is 1.8e-11. Its x
-        # curves are flat at 1e4, so every extraction converges first
-        config = edited_config(tmp_path, "markov2.json", "model", "state_rates",
-                               [-0.9999, -0.9999])
+        # with no squarings allowed no Perron root can be bracketed, while
+        # markov2's extractions still converge
+        from longrates import models
+
+        monkeypatch.setattr(models, "_MAX_SQUARINGS", 0)
         out = tmp_path / "out"
-        assert run_cli(command, "--config", config, "--out", out) == EXIT_VERIFY
+        assert run_cli(command, "--config", CONFIGS / "markov2.json",
+                       "--out", out) == EXIT_VERIFY
         err = capsys.readouterr().err
         assert err.startswith(f"longrates {command}: verification aborted: "
                               "Perron squaring did not converge")

@@ -200,6 +200,23 @@ class TestPerron:
         est = perron_long_rate(SYM2)
         assert est.residual >= 8 * np.finfo(float).eps * est.value
 
+    def test_tol_scales_with_a_root_above_one(self):
+        # x = 1e4: the bracket's rounding floor, 4 n eps root = 1.8e-11, is
+        # above 1e-12 but within 1e-12 * root
+        chain = MarkovChain([-0.9999, -0.9999], [[0.5, 0.5], [0.5, 0.5]], 0)
+        est = perron_long_rate(chain)
+        root = 1.0 / (1.0 - 0.9999)
+        assert 1e-12 < est.residual <= 1e-12 * root
+        assert abs(est.value - root) <= est.residual
+
+    def test_tol_stays_absolute_for_a_root_below_one(self):
+        # x = 1e-6: a tol of 1e-16 is within reach of the rounding floor,
+        # 4 n eps root = 8.9e-22, though 1e-16 * root is not
+        chain = MarkovChain([1e6 - 1, 1e6 - 1], [[0.5, 0.5], [0.5, 0.5]], 0)
+        est = perron_long_rate(chain, tol=1e-16)
+        assert est.value == pytest.approx(1e-6, rel=1e-15)
+        assert est.residual <= 1e-16
+
     def test_unreachable_tol_does_not_converge(self):
         with pytest.raises(RuntimeError, match="did not converge"):
             perron_long_rate(SYM2, tol=0.0)

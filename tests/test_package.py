@@ -57,7 +57,7 @@ COMMAND_LAYERS = {
     "curve": {"models", "philox", "pricing"},
     "lr": {"models", "philox", "pricing", "longrate"},
     "lr_plain_tail": {"models", "philox", "pricing", "longrate"},
-    "measure": {"models", "philox", "pricing", "measure"},
+    "measure": {"models", "philox", "measure"},
     "dir": {"models", "philox", "pricing", "longrate", "verify"},
     "lemma": {"finiteprob"},
 }
@@ -65,6 +65,42 @@ COMMAND_LAYERS = {
 
 def test_import_loads_no_layer():
     assert _layers_loaded("import longrates", ROOT) == set()
+
+
+def test_models_pricing_and_measure_load_no_config():
+    code = "import longrates.models, longrates.pricing, longrates.measure"
+    assert _layers_loaded(code, ROOT) == {"models", "philox", "pricing", "measure"}
+
+
+def _imported_layers(path: Path) -> set[str]:
+    """The longrates modules that a file imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("longrates"):
+            names |= {node.module.partition(".")[2] or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("longrates.")}
+    return names
+
+
+def test_models_import_no_layer_above_them():
+    above = {"pricing", "longrate", "measure", "verify", "cli"}
+    assert not _imported_layers(SRC / "longrates" / "models.py") & above
+
+
+def test_the_chain_linear_algebra_lives_in_models():
+    # one module knows the binary powers of the discounted matrix
+    defined = {}
+    for path in sorted((SRC / "longrates").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append(path.name)
+    for name in ("_binary_powers", "_advance", "_price_pass", "_perron_table"):
+        assert defined[name] == ["models.py"], name
+    assert "_chain_log_prices_and_powers" not in defined
 
 
 @pytest.mark.parametrize("name", README_LINES)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from longrates import pricing, verify
+from longrates import verify
 from longrates.longrate import ExtractionMethod, extract_long_rate, perron_long_rate
 from longrates.models import (
-    STREAM_PATHS, ConstantRate, MarkovChain, PoissonJump, Regime, TimeGrid,
+    STREAM_CONTINUATION, STREAM_PATHS, ConstantRate, MarkovChain, PoissonJump, Regime, TimeGrid,
     path_rng, simulate_paths,
 )
 from longrates.pricing import build_curves
@@ -231,15 +231,23 @@ class TestVerifyDir:
 
     def test_one_chain_pricing_pass_per_certificate(self, monkeypatch):
         calls = []
-        real = pricing.chain_log_prices
+        real = MarkovChain.log_price_table
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(pricing, "chain_log_prices", counted)
+        monkeypatch.setattr(MarkovChain, "log_price_table", counted)
         verify_dir(CHAIN16, 2, 7, SCHEDULE, 400, 3, Regime.DISCRETE)
         assert len(calls) == 1
+
+    def test_a_few_unconverged_extractions_abort(self):
+        # 24 of 8,000 extractions, the paths in state 0, miss tol by far
+        # (residual 2.5e-8); a certificate must not pass over them
+        chain = MarkovChain([0.01, 0.08], [[0.5, 0.5], [0.001, 0.999]], 1)
+        with pytest.raises(NonConvergenceError, match="24 of 8000 extractions"):
+            verify_dir(chain, 2, 7, (250, 500, 1000, 2000), 4000, 5,
+                       Regime.DISCRETE, tol=5.85e-11)
 
     def test_short_schedule_aborts_instead_of_passing(self):
         with pytest.raises(NonConvergenceError, match="extend the maturity"):
@@ -339,6 +347,19 @@ class TestPoissonExample:
         assert report.spread.z_score == 0.0
         assert report.monotonicity.passed
         assert report.pricing[0].z_score == 0.0
+
+    def test_spread_reads_the_model_long_rate(self, monkeypatch):
+        args = (0.05, 0.1, 0.5, 0.0, 5.0, 20, 11)
+        kwargs = dict(mc_maturities=(1.0,), n_mc=100, n_continuations=1000)
+        plain = run_poisson_example(*args, **kwargs).spread.variance
+        counts = path_rng(11, STREAM_CONTINUATION, 0).poisson(0.5 * 5.0, size=1000)
+        assert plain == float(np.var(0.05 + 0.1 * counts + 0.5, ddof=1))
+        # the long rate of each time-t rate comes from long_rate_table
+        real = PoissonJump.long_rate_table
+        monkeypatch.setattr(PoissonJump, "long_rate_table",
+                            lambda self, states, regime: 2.0 * real(self, states, regime))
+        doubled = run_poisson_example(*args, **kwargs).spread.variance
+        assert doubled == pytest.approx(4.0 * plain, rel=1e-12)
 
     def test_samples_the_scenarios_once(self, monkeypatch):
         calls = []
