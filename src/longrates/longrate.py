@@ -79,6 +79,10 @@ def _check_schedule(taus: np.ndarray, tol: float) -> None:
     positive times to maturity and a finite non-negative tol."""
     if taus.size < _MIN_TAUS or np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
         raise ValueError("maturity schedule must be >= 4 increasing positive times")
+    _check_tol(tol)
+
+
+def _check_tol(tol: float) -> None:
     if not math.isfinite(tol) or tol < 0:
         raise ValueError("tol must be a non-negative number")
 
@@ -122,6 +126,7 @@ def perron_long_rate(model: MarkovChain, tol: float = 1e-12) -> LongRateEstimate
     """Exact chain long rate x from the initial state: its `_perron_table` row."""
     if not isinstance(model, MarkovChain):
         raise ValueError("spectral long rate is defined for finite chains")
+    _check_tol(tol)
     x, residual = (float(a[model.initial_state]) for a in _perron_table(model, tol))
     return LongRateEstimate(x, ExtractionMethod.SPECTRAL, residual, 0.0, True)
 

@@ -655,8 +655,10 @@ class ScenarioSet:
         u = self._times(times)
         if self.grid.regime is Regime.DISCRETE:
             return self.states[:, u]
-        counts = [_jumps_upto(self.jump_times, self.offsets, v) for v in u]
-        return self.level + self.jump * np.reshape(counts, (u.size, self.n_paths)).T
+        n = self.n_paths
+        index = np.repeat(np.arange(n), np.diff(self.offsets))
+        counts = [np.bincount(index[self.jump_times <= v], minlength=n) for v in u]
+        return self.level + self.jump * np.reshape(counts, (u.size, n)).T
 
     def rates_at(self, times) -> np.ndarray:
         """Short rates at each time, one row per path."""
@@ -666,56 +668,26 @@ class ScenarioSet:
 
     def discounts(self, s, t) -> np.ndarray:
         """B_s / B_t of each path. A discrete bank account grows by 1 + R_k
-        in period k, so the ratio is set by the rates before t; a continuous
-        one by the exact rate integral."""
+        in period k; a continuous one by the exact rate integral, level *
+        (t - s) + jump * the sum of (t - max(u, s))+ over a path's jumps u."""
         s, t = self._times((s, t)).tolist()
         if s > t:
             raise ValueError("need 0 <= s <= t <= horizon")
         if self.grid.regime is Regime.DISCRETE:
             return 1.0 / np.prod((1.0 + self.state_rates)[self.states[:, s:t]], axis=1)
         out = np.empty(self.n_paths)
-        # a block's temporaries, some 16 entries a path and 4 a jump time,
-        # stay within _CELLS entries
+        # a block's temporaries, 4 entries a path and a jump, fit in _CELLS
         n, m = self.n_paths, self.jump_times.size
-        rows = 1 + _CELLS * n // (16 * n + 4 * m)
+        rows = 1 + _CELLS * n // (4 * (n + m))
         for lo in range(0, n, rows):
             bounds = self.offsets[lo : lo + rows + 1]
-            times = self.jump_times[bounds[0] : bounds[-1]]
-            bounds = bounds - bounds[0]
-            before, upto = (_jumps_upto(times, bounds, u) for u in (s, t))
-            start, size = bounds[:-1] + before, upto - before
-            # a path's integral holds the sum of t - u over its jumps u in
-            # (s, t], rounded as one ndarray.sum of them rounds it. Paths
-            # with as many jumps in the window stack into one matrix, and
-            # its row sums run numpy's pairwise loop on each row as that
-            # sum does; np.add.reduceat adds in order and rounds otherwise
-            gaps = t - times
-            inside = np.zeros(size.size)
-            for length in np.flatnonzero(np.bincount(size)[1:]) + 1:
-                paths = np.flatnonzero(size == length)
-                inside[paths] = gaps[start[paths, None] + np.arange(length)].sum(axis=1)
-            # level * (t - s) + jump * (before * (t - s) + inside), in place
-            integrals = before * (t - s)
-            integrals += inside
-            integrals *= self.jump
-            integrals += self.level * (t - s)
-            # math.exp, as np.exp can differ from it in the last bit
-            out[lo : lo + rows] = np.fromiter(
-                map(math.exp, np.negative(integrals, out=integrals)), float,
-                count=integrals.size,
-            )
+            k = bounds.size - 1
+            gaps = np.clip(t - self.jump_times[bounds[0] : bounds[-1]], 0.0, t - s)
+            # bincount adds each path's gaps in order, so that a path's
+            # discount does not depend on the other paths in its set
+            inside = np.bincount(np.repeat(np.arange(k), np.diff(bounds)), gaps, k)
+            out[lo : lo + k] = np.exp(-(self.level * (t - s) + self.jump * inside))
         return out
-
-
-def _jumps_upto(times: np.ndarray, bounds: np.ndarray, u: float) -> np.ndarray:
-    """Each path's number of jumps at or before u, path i's sorted jump
-    times being ``times[bounds[i]:bounds[i + 1]]``."""
-    counts = np.zeros(bounds.size - 1, dtype=np.int64)
-    # a path without jumps would read the next path's first jump
-    busy = np.flatnonzero(np.diff(bounds) > 0)
-    if busy.size:
-        counts[busy] = np.add.reduceat(times <= u, bounds[busy], dtype=np.int64)
-    return counts
 
 
 def simulate_paths(

@@ -68,7 +68,7 @@ def log_price_closed_form(
     model: ModelSpec, state, t: float, T: float, regime: Regime
 ) -> float:
     """Exact log P(t, T) from the given model state."""
-    if T < t:
+    if not t <= T:  # NaN fails it
         raise ValueError("maturity precedes observation time")
     return float(model.log_price_table([state], t, [T], regime)[0, 0])
 
@@ -197,8 +197,8 @@ def short_rate_consistency(
     if regime is Regime.DISCRETE:
         f_tt = math.expm1(-log_price_closed_form(model, state, t, t + 1, regime))
     else:
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError("step must be positive and finite")
         lp = log_price_closed_form(model, state, t, t + step, regime)
         f_tt = -lp / step
     return abs(f_tt - model.rate_of(state))

@@ -221,6 +221,13 @@ class TestPerron:
         with pytest.raises(RuntimeError, match="did not converge"):
             perron_long_rate(SYM2, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_non_negative(self, tol, monkeypatch):
+        # refused before any squaring, by the rule extraction applies to tol
+        monkeypatch.setattr("longrates.models._MAX_SQUARINGS", 0)
+        with pytest.raises(ValueError, match="tol must be a non-negative number"):
+            perron_long_rate(SYM2, tol=tol)
+
     def test_reducible_chain_takes_the_largest_root_it_reaches(self):
         # state 1 is absorbing; state 0 reaches it, and its own class is the
         # singleton whose root is its discounted self-loop, 0.99 / 1.01

@@ -162,9 +162,10 @@ class TestTowerIdentity:
         for i in range(n):
             rng = path_rng(seed, STREAM_CONTINUATION, i)
             jumps = sample_jump_times(rng, POISSON.intensity, window)
-            before = int(np.sum(jumps <= 0.0))
-            level = before * window + float(np.sum(window - jumps[before:]))
-            discount = math.exp(-(r0 * window + delta * level))
+            level = 0.0
+            for u in jumps:
+                level += min(max(window - u, 0.0), window)
+            discount = float(np.exp(-(r0 * window + delta * level)))
             r_end = r0 + delta * jumps.size
             samples.append(discount * price_closed_form(POISSON, r_end, t, T, reg))
         samples = np.array(samples)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,12 +50,31 @@ def lattice_set(*paths):
     )
 
 
+READ_HORIZON = 8.0
+
+
+@st.composite
+def jump_reads(draw):
+    """Sorted jump paths on [0, READ_HORIZON] and times 0 <= s <= t <= it.
+    A path holds 0, 8, 9, 129 or more jumps, or a few; jumps may sit at s,
+    at t, at either end, or on one another."""
+    s, t = sorted(draw(st.lists(st.floats(0.0, READ_HORIZON), min_size=2, max_size=2)))
+    jump = st.one_of(st.sampled_from([0.0, s, t, READ_HORIZON]),
+                     st.floats(0.0, READ_HORIZON))
+    size = st.one_of(st.sampled_from([0, 8, 9, 129]), st.integers(0, 12),
+                     st.integers(129, 160))
+    paths = draw(st.lists(size.flatmap(lambda k: st.lists(jump, min_size=k, max_size=k)),
+                          min_size=1, max_size=6))
+    return [sorted(path) for path in paths], s, t
+
+
 def integral_by_hand(level, jump, times, s, t):
-    """One path's rate integral over [s, t], summing its own jumps."""
-    times = np.asarray(times, dtype=float)
-    before = int(np.sum(times <= s))
-    inside = times[(times > s) & (times <= t)]
-    return level * (t - s) + jump * (before * (t - s) + float(np.sum(t - inside)))
+    """One path's rate integral over [s, t]: each jump u adds
+    (t - max(u, s))+, summed in the path's order."""
+    inside = 0.0
+    for u in times:
+        inside += min(max(t - u, 0.0), t - s)
+    return level * (t - s) + jump * inside
 
 
 def chain_path(chain, seed, stream, i, n_steps):
@@ -329,8 +349,9 @@ class TestKeyedSampler:
 
     @pytest.mark.parametrize("n_gaps", [7, 8, 9, 129])
     def test_rows_across_the_pairwise_edge_give_exact_discounts(self, n_gaps):
-        # ndarray.sum adds under 8 terms in order, 8 or more pairwise and
-        # over 128 in halves; each row must get the float of its own sum
+        # each row must get the float of its own in-order sum; ndarray.sum
+        # adds 8 or more terms pairwise and over 128 in halves, and rounds
+        # these rows otherwise
         rng = np.random.default_rng(n_gaps)
         paths = [
             sorted(10.0 * rng.random(n_gaps) ** rng.uniform(1, 12)) for _ in range(300)
@@ -338,7 +359,7 @@ class TestKeyedSampler:
         paths += [[], [0.0] * n_gaps, sorted(rng.random(2 * n_gaps))]
         scen = jump_set(0.02, 0.7, paths, 10.0)
         for s, t in ((0.0, 10.0), (0.0, 9.5)):
-            want = [math.exp(-integral_by_hand(0.02, 0.7, p, s, t)) for p in paths]
+            want = [float(np.exp(-integral_by_hand(0.02, 0.7, p, s, t))) for p in paths]
             assert scen.discounts(s, t).tolist() == want
 
 
@@ -513,13 +534,39 @@ class TestJumpPath:
     ])
     def test_integral_from_zero_matches_path_exactly(self, times):
         # the route over a whole set must give each path the float of its
-        # own integral; the nine jumps of the last case sum to a different
-        # float in order than ndarray.sum's pairwise sum
+        # own in-order integral; the nine jumps of the last case sum to a
+        # different float in order than ndarray.sum's pairwise sum
         paths = [times, [0.25, 4.0], [], sorted(5.0 - u for u in times)]
         scen = jump_set(0.02, 0.5, paths, 5.0)
         for s, t in ((0.0, 5.0), (0.0, 2.5), (1.0, 4.0)):
-            want = [math.exp(-integral_by_hand(0.02, 0.5, p, s, t)) for p in paths]
+            want = [float(np.exp(-integral_by_hand(0.02, 0.5, p, s, t))) for p in paths]
             assert scen.discounts(s, t).tolist() == want
+
+    @given(case=jump_reads(), level=st.floats(-0.1, 0.3), jump=st.floats(-0.5, 0.5),
+           cells=st.sampled_from([1, 64, 1 << 17]))
+    def test_reads_of_a_set_are_those_of_its_paths(self, case, level, jump, cells):
+        # one block a path, several, or one for the whole set
+        paths, s, t = case
+        with mock.patch("longrates.models._CELLS", cells):
+            scen = jump_set(level, jump, paths, READ_HORIZON)
+            discounts, states = scen.discounts(s, t), scen.states_at((s, t))
+            alone = [jump_set(level, jump, [p], READ_HORIZON) for p in paths]
+            assert discounts.tolist() == [a.discounts(s, t)[0] for a in alone]
+            assert states.tolist() == [a.states_at((s, t))[0].tolist() for a in alone]
+        eps = np.finfo(float).eps
+        for path, discount, row in zip(paths, discounts, states):
+            counts = np.searchsorted(path, [s, t], side="right")
+            assert row.tolist() == (level + jump * counts).tolist()
+            gaps = [min(max(t - u, 0.0), t - s) for u in path]
+            exact = math.fsum(gaps)
+            # an in-order sum of m gaps >= 0 is off by at most (m - 1) u
+            # times their sum, u = eps / 2, and fsum by u; the last product
+            # and sum add 4 u of the integral's size, and the two exps, each
+            # within an ulp or two, 4 eps of the discount
+            size = abs(level) * (t - s) + abs(jump) * exact
+            bound = math.expm1((len(path) + 4) * eps * size) + 4 * eps
+            want = math.exp(-(level * (t - s) + jump * exact))
+            assert abs(discount - want) <= bound * want
 
     def test_unsorted_jumps_rejected(self):
         with pytest.raises(ValueError, match="sorted"):

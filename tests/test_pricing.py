@@ -128,6 +128,13 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="regime"):
             price_closed_form(SYM2, None, 0, 4, Regime.CONTINUOUS)
 
+    @pytest.mark.parametrize("t,T", [(0.0, math.nan), (math.nan, 1.0)])
+    def test_nan_times_are_refused(self, t, T):
+        # T < t is False when either is NaN; the jump model would price nan
+        for price in (log_price_closed_form, price_closed_form):
+            with pytest.raises(ValueError, match="precedes"):
+                price(POISSON, None, t, T, Regime.CONTINUOUS)
+
     def test_chain_state_out_of_range_raises_on_every_route(self):
         # a negative index must not wrap around to the last state
         for state in (-1, 2):
@@ -271,9 +278,10 @@ class TestPriceMc:
         for i in range(n):
             rng = path_rng(seed, STREAM_PRICING, i)
             jumps = sample_jump_times(rng, POISSON.intensity, window)
-            before = int(np.sum(jumps <= 0.0))
-            level = before * window + float(np.sum(window - jumps[before:]))
-            samples.append(math.exp(-(state * window + POISSON.delta * level)))
+            level = 0.0
+            for u in jumps:
+                level += min(max(window - u, 0.0), window)
+            samples.append(float(np.exp(-(state * window + POISSON.delta * level))))
         # path by path first: a last-bit slip can vanish in the mean
         grid = TimeGrid(Regime.CONTINUOUS, window, window)
         scen = simulate_paths(POISSON.conditioned(state), grid, n, seed,
@@ -434,3 +442,8 @@ class TestShortRateConsistency:
         finer = short_rate_consistency(POISSON, None, 0.0, Regime.CONTINUOUS,
                                        step / 10)
         assert finer < gap
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            short_rate_consistency(POISSON, None, 0.0, Regime.CONTINUOUS, step)
