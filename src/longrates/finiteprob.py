@@ -175,8 +175,7 @@ def cond_p_norm(x: Rv, p: float, partition: Partition) -> Rv:
     probs = x.space.atom_probs
     cells = partition.cell_index()
     with np.errstate(divide="ignore"):
-        log_x = np.where(x.values > 0, np.log(np.maximum(x.values, 1e-300)), -np.inf)
-        terms = np.log(probs) + p * log_x
+        terms = np.log(probs) + p * np.log(x.values)
         shift = partition.cell_maxima(terms)
         shift[np.isneginf(shift)] = 0.0
         lse = np.log(partition.cell_sums(np.exp(terms - shift[cells]))) + shift

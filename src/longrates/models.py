@@ -105,11 +105,11 @@ class Regime(Enum):
 def path_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Counter-based generator for one path: key = (seed ^ stream, index).
 
-    This is the reference for every scenario: `_uniforms` computes the
-    same Philox stream for many paths at once, so row i of a scenario set
-    holds what this generator draws. A chain path uses one uniform per
-    step; a jump path uses ``random(1 + N)``, its first uniform for the
-    count N and the other N, sorted, for its jump times.
+    The tests' reference for every scenario; no library route draws from
+    it. `_uniforms` computes its Philox stream for many paths at once, so
+    row i of a scenario set holds what this generator draws. A chain path
+    uses one uniform per step; a jump path uses ``random(1 + N)``, its
+    first uniform for the count N and the other N, sorted, for its jumps.
     """
     _check_seed(seed)
     key = np.array(
@@ -678,7 +678,7 @@ class ScenarioSet:
         out = np.empty(self.n_paths)
         # a block's temporaries, 4 entries a path and a jump, fit in _CELLS
         n, m = self.n_paths, self.jump_times.size
-        rows = 1 + _CELLS * n // (4 * (n + m))
+        rows = 1 + _CELLS * n // max(1, 4 * (n + m))
         for lo in range(0, n, rows):
             bounds = self.offsets[lo : lo + rows + 1]
             k = bounds.size - 1

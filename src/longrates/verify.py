@@ -30,10 +30,8 @@ from .models import (
     PoissonJump,
     Regime,
     STREAM_CONTINUATION,
-    ScenarioSet,
     _periods,
     _window_grid,
-    path_rng,
     simulate_paths,
 )
 from .pricing import price_closed_form, price_mc
@@ -133,31 +131,15 @@ def verify_dir(
     """Simulate to t and certify x(s) >= x(t) - epsilon path by path.
 
     The maturity schedule lists times to maturity appended to each
-    observation time. Conditioning on the information at s and t uses the
-    Markov state there, read off the scenarios of `simulate_paths`. An
-    extraction that fails to stabilize on any path aborts with
-    NonConvergenceError, so the report's n_nonconverged reads 0.
+    observation time; the window and settings are checked before any
+    sampling. Every model is time-homogeneous and Markov, so x over time to
+    maturity from the state at s or at t is one curve: one table, a row per
+    distinct state of the `simulate_paths` scenarios at either time, goes
+    through one extraction, and every path reads its states' rows, as it
+    does the model's exact x for the spectral gap. An extraction that fails
+    to stabilize on any path aborts with NonConvergenceError, so the
+    report's n_nonconverged reads 0.
     """
-    taus = _check_window(
-        model, s, t, maturity_schedule, regime, tol, epsilon_multiplier
-    )
-    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
-    return _certify(
-        model, scenarios, s, t, taus, method, epsilon_multiplier, tol, model_id
-    )
-
-
-def _check_multiplier(epsilon_multiplier: float) -> None:
-    if not (math.isfinite(epsilon_multiplier) and epsilon_multiplier > 0):
-        raise ValueError("epsilon_multiplier must be positive and finite")
-
-
-def _check_window(
-    model: ModelSpec, s, t, maturity_schedule, regime: Regime, tol: float,
-    epsilon_multiplier: float,
-) -> np.ndarray:
-    """The schedule as an array, once the window and settings are valid;
-    it runs before any sampling."""
     _check_multiplier(epsilon_multiplier)
     model.require_regime(regime)
     if not 0 <= s < t < math.inf:
@@ -166,22 +148,8 @@ def _check_window(
     _check_schedule(taus, tol)
     if regime is Regime.DISCRETE:
         _periods(s, [t, *taus])
-    return taus
+    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
 
-
-def _certify(
-    model: ModelSpec, scenarios: ScenarioSet, s: float, t: float,
-    taus: np.ndarray, method: ExtractionMethod, epsilon_multiplier: float,
-    tol: float, model_id: str | None,
-) -> MonotonicityReport:
-    """The certificate of `verify_dir` on scenarios that reach t.
-
-    Every model is time-homogeneous, so x over time to maturity from a state
-    is one curve at s and at t: one table, a row per distinct state at either
-    time, goes through one extraction, and every path reads its states' rows,
-    as it does the model's exact x for the spectral gap.
-    """
-    regime = scenarios.grid.regime
     distinct, inverse = np.unique(scenarios.states_at((s, t)), return_inverse=True)
     # log P(obs, obs + tau) from a state depends on tau only
     curves = np.exp(model.log_price_table(distinct, 0, taus, regime) / taus)
@@ -221,6 +189,11 @@ def _certify(
         spectral_value=exact[0],
         spectral_gap=float(np.abs(x - np.array(exact[1:])[rows]).max()),
     )
+
+
+def _check_multiplier(epsilon_multiplier: float) -> None:
+    if not (math.isfinite(epsilon_multiplier) and epsilon_multiplier > 0):
+        raise ValueError("epsilon_multiplier must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -284,12 +257,14 @@ def run_poisson_example(
 ) -> PoissonExampleReport:
     """Exercise the jump model end to end.
 
-    Checks closed-form prices against Monte Carlo, the identity that the
-    extrapolated long zero rate is the model's `long_rate_table` (the rate
-    plus the jump intensity), per-path long-rate monotonicity between s and
-    t, and the spread of the time-t long rate seen from s. delta = 0
-    degenerates to the constant model, where the long rate is just the rate
-    and the spread is exactly zero.
+    Runs `verify_dir` (per-path long-rate monotonicity between s and t),
+    checks closed-form prices against Monte Carlo, and draws continuations
+    of [s, t] from the initial state with `simulate_paths`. One table over
+    their end levels gives the identity that the extrapolated long zero
+    rate is the model's `long_rate_table` (the rate plus the jump
+    intensity), and the spread of the time-t long rate seen from s. delta =
+    0 degenerates to the constant model, where the long rate is just the
+    rate and the spread is exactly zero.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
@@ -297,10 +272,12 @@ def run_poisson_example(
         raise ValueError("n_continuations must be at least 2")
     model = ConstantRate(r0) if delta == 0.0 else PoissonJump(r0, delta, intensity)
     regime = Regime.CONTINUOUS
-    taus = _check_window(
-        model, s, t, maturity_schedule, regime, tol, epsilon_multiplier
-    )
     reciprocal = ExtractionMethod.RECIPROCAL_EXTRAPOLATION
+    monotonicity = verify_dir(
+        model, s, t, maturity_schedule, n_paths, seed, regime, method=reciprocal,
+        epsilon_multiplier=epsilon_multiplier, tol=tol,
+    )
+    taus = np.asarray(maturity_schedule, dtype=float)
 
     pricing = []
     for T in mc_maturities:
@@ -310,37 +287,32 @@ def run_poisson_example(
             float(T), closed, mc.value, mc.std_error, mc.z_score(closed)
         ))
 
-    scenarios = simulate_paths(model, _window_grid(regime, t), n_paths, seed)
-    monotonicity = _certify(
-        model, scenarios, s, t, taus, reciprocal, epsilon_multiplier, tol, None
+    # every jump falls in [0, t - s], so a continuation ends at the level
+    # of its jump count; one table holds each level up to the largest
+    window, n = float(t - s), n_continuations
+    scen = simulate_paths(
+        model, _window_grid(regime, window), n, seed, stream=STREAM_CONTINUATION
     )
+    counts = np.diff(scen.offsets)
+    ends = r0 + delta * np.arange(counts.max() + 1)
+    z_exact = model.long_rate_table(ends, regime)
 
-    # long-zero identity at t, one row per distinct state (a short rate)
-    t = float(t)
-    states_t = np.sort(scenarios.states_at((t,)), axis=None)
-    states_t = states_t[np.diff(states_t, prepend=-np.inf) != 0]
-    log_prices = model.log_price_table(states_t, t, t + taus, regime)
+    # long-zero identity, over time to maturity as the certificate reads it
     z_long, z_res, _ = _extract_table(
-        taus, -log_prices / ((t + taus) - t), reciprocal, tol
+        taus, -model.log_price_table(ends, 0, taus, regime) / taus, reciprocal, tol
     )
-    gap = np.abs(z_long - model.long_rate_table(states_t, regime))
+    gap = np.abs(z_long - z_exact)
     bound = epsilon_multiplier * z_res + _EPS_FLOOR * np.maximum(1.0, np.abs(z_long))
 
-    # spread of the time-t long rate seen from s, via exact count draws
-    window = float(t - s)
     if delta == 0.0:
-        spread = LongRateSpread(0.0, 0.0, 0.0, 0.0, n_continuations)
+        # np.var of equal values need not be exactly 0
+        spread = LongRateSpread(0.0, 0.0, 0.0, 0.0, n)
     else:
-        rng = path_rng(seed, STREAM_CONTINUATION, 0)
-        counts = rng.poisson(intensity * window, size=n_continuations)
-        ends = r0 + delta * np.arange(counts.max() + 1)
-        z_vals = model.long_rate_table(ends, regime)[counts]
-        variance = float(np.var(z_vals, ddof=1))
+        variance = float(np.var(z_exact[counts], ddof=1))
         mean_count = intensity * window
         theoretical = delta**2 * mean_count
         # exact sampling error of the variance estimator from Poisson moments
         mu4 = delta**4 * (mean_count + 3.0 * mean_count**2)
-        n = n_continuations
         se = math.sqrt((mu4 - theoretical**2 * (n - 3) / (n - 1)) / n)
         spread = LongRateSpread(
             variance, theoretical, se, (variance - theoretical) / se, n

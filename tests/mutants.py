@@ -28,9 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-MODELS, PRICING, VERIFY, MEASURE, PHILOX, OUTPUT = (
+MODELS, PRICING, VERIFY, MEASURE, PHILOX, OUTPUT, FINITEPROB = (
     f"src/longrates/{m}.py"
-    for m in ("models", "pricing", "verify", "measure", "philox", "output")
+    for m in ("models", "pricing", "verify", "measure", "philox", "output", "finiteprob")
 )
 
 # name -> (file, old text, new text, test module)
@@ -224,9 +224,46 @@ MUTANTS = {
     ),
     "spread written by hand": (
         VERIFY,
-        "z_vals = model.long_rate_table(ends, regime)[counts]",
-        "z_vals = r0 + delta * counts + intensity",
+        "variance = float(np.var(z_exact[counts], ddof=1))",
+        "variance = float(np.var(r0 + delta * counts + intensity, ddof=1))",
         "tests/test_verify.py",
+    ),
+    "spread read from the extracted long rates": (
+        VERIFY,
+        "variance = float(np.var(z_exact[counts], ddof=1))",
+        "variance = float(np.var(z_long[counts], ddof=1))",
+        "tests/test_verify.py",
+    ),
+    "continuations on the certificate's stream": (
+        VERIFY,
+        "model, _window_grid(regime, window), n, seed, stream=STREAM_CONTINUATION",
+        "model, _window_grid(regime, window), n, seed",
+        "tests/test_verify.py",
+    ),
+    "continuation end levels shifted by one jump": (
+        VERIFY,
+        "ends = r0 + delta * np.arange(counts.max() + 1)",
+        "ends = r0 + delta * np.arange(1, counts.max() + 2)",
+        "tests/test_verify.py",
+    ),
+    "long-zero identity over the first end level only": (
+        VERIFY,
+        "-model.log_price_table(ends, 0, taus, regime) / taus",
+        "-model.log_price_table(ends[:1], 0, taus, regime) / taus",
+        "tests/test_verify.py",
+    ),
+    "continuous discounts divide by a set's paths and jumps": (
+        MODELS,
+        "rows = 1 + _CELLS * n // max(1, 4 * (n + m))",
+        "rows = 1 + _CELLS * n // (4 * (n + m))",
+        "tests/test_models.py",
+    ),
+    "p-norm logs clamped at 1e-300": (
+        FINITEPROB,
+        "terms = np.log(probs) + p * np.log(x.values)",
+        "terms = np.log(probs) + p * np.where("
+        "x.values > 0, np.log(np.maximum(x.values, 1e-300)), -np.inf)",
+        "tests/test_finiteprob.py",
     ),
     "floats written with 16 digits": (
         OUTPUT,

@@ -151,6 +151,13 @@ class TestConditionalPNorm:
         want = mp_cell_norm(SKEW.atom_probs[[2, 3]], [3.0, 0.0], 10.0)
         assert out[2] == pytest.approx(want, rel=1e-12)
 
+    def test_tiny_values_keep_their_own_norm(self):
+        # values below 1e-300, subnormal ones too, are not raised to 1e-300
+        half = FiniteProbSpace(np.array([0.5, 0.5]))
+        x = half.rv([1e-310, 1e-310])
+        out = cond_p_norm(x, 2.0, half.trivial_partition()).values
+        assert out.tolist() == pytest.approx([1e-310, 1e-310], rel=1e-9, abs=0.0)
+
     def test_invalid_arguments(self):
         x = FOUR.rv([1.0, 2.0, 3.0, 4.0])
         part = FOUR.trivial_partition()
@@ -186,6 +193,15 @@ class TestEssSupAndLimit:
         assert np.all(np.isfinite(report.norms))
         assert report.within_bound()
         assert report.norms[-1, 0] == pytest.approx(1e10, rel=1e-4)
+
+    def test_tiny_values_stay_below_the_ess_sup(self):
+        half = FiniteProbSpace(np.array([0.5, 0.5]))
+        x = half.rv([1e-305, 2e-305])
+        report = pnorm_limit_check(x, half.trivial_partition(), [1, 2, 10])
+        assert report.norms[0, 0] == pytest.approx(1.5e-305, rel=1e-12, abs=0.0)
+        assert np.all(report.ess_sup == 2e-305)
+        assert np.all(report.relative_gap >= 0.0)
+        assert report.within_bound()
 
     def test_all_zero_variable(self):
         x = FOUR.rv([0.0, 0.0, 0.0, 0.0])

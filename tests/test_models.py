@@ -630,6 +630,17 @@ class TestBankAccount:
         assert growth == pytest.approx(math.exp(0.4), rel=1e-15)
         assert scen.discounts(2.0, 6.0)[0] == pytest.approx(math.exp(-0.16), rel=1e-15)
 
+    def test_sets_without_paths_read_empty(self):
+        # in both regimes a set with no path has no discount; the continuous
+        # block rule must not divide by its zero paths and jumps
+        no_jumps = jump_set(0.05, 0.1, [], 5.0)
+        no_rows = ScenarioSet(TimeGrid(Regime.DISCRETE, 3),
+                              states=np.zeros((0, 4), dtype=int), state_rates=np.zeros(1))
+        for scen in (no_jumps, no_rows):
+            assert scen.n_paths == 0
+            assert scen.discounts(0, 1).shape == (0,)
+            assert scen.states_at((1,)).shape == (0, 1)
+
     def test_discrete_blocks_give_the_whole_product(self):
         # 20,000 paths of 64 periods: one product of growth factors per row
         scen = simulate_paths(SYM2, TimeGrid(Regime.DISCRETE, 64), 20_000, 3)

@@ -221,26 +221,36 @@ def test_exact_long_rates_have_one_member():
     assert not hasattr(models._Model, "_spectral")
 
 
-def _philox_sites(tree: ast.AST, scope: str = "<module>") -> list[str]:
-    """The enclosing function of each call that builds a Philox generator."""
+def _call_sites(tree: ast.AST, names: set[str], scope: str = "<module>") -> list[str]:
+    """The enclosing function of each call to one of names, bare or as an
+    attribute."""
     sites = []
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, ast.Call):
             func = child.func
-            if getattr(func, "attr", getattr(func, "id", None)) == "Philox":
+            if getattr(func, "attr", getattr(func, "id", None)) in names:
                 sites.append(scope)
         inner = child.name if isinstance(child, ast.FunctionDef) else scope
-        sites += _philox_sites(child, inner)
+        sites += _call_sites(child, names, inner)
     return sites
+
+
+def _package_call_sites(*names: str) -> list[tuple[str, str]]:
+    return [
+        (path.name, scope)
+        for path in sorted((SRC / "longrates").glob("*.py"))
+        for scope in _call_sites(ast.parse(path.read_text()), set(names))
+    ]
 
 
 def test_paths_are_drawn_without_a_generator_each():
     # one numpy Philox pass draws every path; path_rng, the one-path
     # reference, is the only place that builds a Philox generator
     assert not hasattr(models, "_keyed_streams")
-    sites = [
-        (path.name, scope)
-        for path in sorted((SRC / "longrates").glob("*.py"))
-        for scope in _philox_sites(ast.parse(path.read_text()))
-    ]
-    assert sites == [("models.py", "path_rng")]
+    assert _package_call_sites("Philox") == [("models.py", "path_rng")]
+
+
+def test_simulate_paths_is_the_one_sampler():
+    # path_rng is the reference that tests draw single paths from: no
+    # library route calls it or draws from a Generator's poisson
+    assert _package_call_sites("path_rng", "poisson") == []

@@ -352,7 +352,11 @@ class TestPoissonExample:
         args = (0.05, 0.1, 0.5, 0.0, 5.0, 20, 11)
         kwargs = dict(mc_maturities=(1.0,), n_mc=100, n_continuations=1000)
         plain = run_poisson_example(*args, **kwargs).spread.variance
-        counts = path_rng(11, STREAM_CONTINUATION, 0).poisson(0.5 * 5.0, size=1000)
+        continuations = simulate_paths(
+            PoissonJump(0.05, 0.1, 0.5), TimeGrid(Regime.CONTINUOUS, 5.0, 5.0), 1000, 11,
+            stream=STREAM_CONTINUATION,
+        )
+        counts = np.diff(continuations.offsets)
         assert plain == float(np.var(0.05 + 0.1 * counts + 0.5, ddof=1))
         # the long rate of each time-t rate comes from long_rate_table
         real = PoissonJump.long_rate_table
@@ -365,33 +369,37 @@ class TestPoissonExample:
         calls = []
         real = verify.simulate_paths
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(model, grid, n, seed, stream=STREAM_PATHS):
+            calls.append((grid.horizon, n, stream))
+            return real(model, grid, n, seed, stream=stream)
 
         monkeypatch.setattr(verify, "simulate_paths", counted)
         run_poisson_example(
-            0.05, 0.1, 0.5, 0.0, 5.0, 100, 11,
-            mc_maturities=(1.0,), n_mc=100, n_continuations=100,
+            0.05, 0.1, 0.5, 1.0, 5.0, 100, 11,
+            mc_maturities=(1.0,), n_mc=100, n_continuations=300,
         )
-        assert len(calls) == 1
+        # the certificate's scenarios to t, then the continuations of [s, t]
+        assert calls == [(5.0, 100, STREAM_PATHS), (4.0, 300, STREAM_CONTINUATION)]
 
     @pytest.mark.parametrize("delta", [0.1, 0.0])
     def test_long_zero_identity_equals_the_per_state_reference(self, delta):
-        """Per distinct time-t state: build_curves -> extract_long_rate on
-        the zero curve, against the current rate plus the intensity."""
+        """Per end level of the continuations of [s, t]: build_curves at 0
+        -> extract_long_rate on the zero curve over time to maturity, against
+        the level plus the intensity."""
         s, t, n_paths, seed = 0.7, 2.9, 300, 4
         report = run_poisson_example(
             0.05, delta, 0.5, s, t, n_paths, seed,
             mc_maturities=(1.0,), n_mc=100, n_continuations=100,
         )
         model = PoissonJump(0.05, delta, 0.5) if delta > 0 else ConstantRate(0.05)
-        grid = TimeGrid(Regime.CONTINUOUS, t, t)
-        states = simulate_paths(model, grid, n_paths, seed).states_at((t,))
+        grid = TimeGrid(Regime.CONTINUOUS, t - s, t - s)
+        continuations = simulate_paths(model, grid, 100, seed, stream=STREAM_CONTINUATION)
+        counts = np.diff(continuations.offsets)
+        ends = 0.05 + delta * np.arange(counts.max() + 1)
         taus = np.asarray(SCHEDULE, dtype=float)
         gaps, bounds = [], []
-        for state in np.unique(states).tolist():
-            rates = build_curves(model, state, t, t + taus, Regime.CONTINUOUS)
+        for state in ends.tolist():
+            rates = build_curves(model, state, 0.0, taus, Regime.CONTINUOUS)
             est = extract_long_rate(np.column_stack([taus, rates.zero]))
             rate_now = model.rate_of(state)
             target = rate_now + 0.5 if delta > 0 else rate_now
