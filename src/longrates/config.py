@@ -120,9 +120,14 @@ def _integer(sec, ctx, key, required=True, default=None) -> int | None:
     value = _field(sec, ctx, key, required, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ConfigError(f"{ctx}.{key} must be an integer")
     return int(value)
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer: json reads true and false as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number_list(sec, ctx, key) -> list[float]:
@@ -150,8 +155,12 @@ def parse_model(doc: dict) -> ModelSpec:
         if kind == "markov_chain":
             rates = _number_list(sec, "model", "state_rates")
             transition = _field(sec, "model", "transition")
-            if not isinstance(transition, list):
+            if not isinstance(transition, list) or not all(
+                isinstance(row, list) for row in transition
+            ):
                 raise ConfigError("model.transition must be a list of rows")
+            message = "model.transition must contain only finite numbers"
+            transition = [[_finite(v, message) for v in row] for row in transition]
             initial = _integer(sec, "model", "initial_state", required=False, default=0)
             return MarkovChain(rates, transition, initial)
     except ValueError as exc:
@@ -249,7 +258,7 @@ def parse_tolerances(doc: dict) -> dict:
         raise ConfigError("tolerances.k_sigma must be positive")
     method_name = _field(sec, ctx, "method", required=False,
                          default="reciprocal_extrapolation")
-    if method_name not in _METHODS:
+    if not isinstance(method_name, str) or method_name not in _METHODS:
         names = " or ".join(f"'{name}'" for name in _METHODS)
         raise ConfigError(f"tolerances.method must be {names}")
     out["method"] = _METHODS[method_name]
@@ -270,7 +279,9 @@ def parse_space(doc: dict) -> FiniteProbSpace:
 def parse_partition(doc: dict, space: FiniteProbSpace) -> Partition:
     sec = _section(doc, "partition")
     cells = _field(sec, "partition", "cells")
-    if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
+    if not isinstance(cells, list) or not all(
+        isinstance(c, list) and all(map(_is_integer, c)) for c in cells
+    ):
         raise ConfigError("partition.cells must be a list of lists of atom indices")
     try:
         return space.partition(cells)
@@ -319,7 +330,7 @@ def parse_n_schedule(doc: dict) -> list[int]:
     values = _field(sec, "schedule", "n")
     if not isinstance(values, list) or not values:
         raise ConfigError("schedule.n must be a non-empty list of integers")
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+    if not all(map(_is_integer, values)):
         raise ConfigError("schedule.n must contain only integers")
     try:
         return list(_check_schedule("schedule.n", values, int, least=1, min_len=2))

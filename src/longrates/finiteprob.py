@@ -61,7 +61,7 @@ class FiniteProbSpace:
         return Rv(self, np.asarray(values, dtype=float))
 
     def partition(self, cells: Sequence[Sequence[int]]) -> "Partition":
-        return Partition(self, tuple(np.asarray(c, dtype=int) for c in cells))
+        return Partition(self, tuple(cells))
 
     def trivial_partition(self) -> "Partition":
         return self.partition([list(range(self.n_atoms))])
@@ -97,22 +97,25 @@ class Partition:
     cells: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(np.asarray(c, dtype=int) for c in self.cells)
+        cells = tuple(np.asarray(c) for c in self.cells)
         object.__setattr__(self, "cells", cells)
+        sizes = [cell.size for cell in cells]
+        if 0 in sizes:
+            raise ValueError("cells must be non-empty")
+        # cell by cell: next to an int cell, a bool cell would concatenate as int
+        if any(cell.ndim != 1 or cell.dtype.kind not in "iu" for cell in cells):
+            raise ValueError("cells must be vectors of integer atom indices")
         n = self.space.n_atoms
-        seen = np.zeros(n, dtype=bool)
-        index = np.empty(n, dtype=int)
-        for k, cell in enumerate(cells):
-            if cell.size == 0:
-                raise ValueError("cells must be non-empty")
-            if np.any(cell < 0) or np.any(cell >= n):
-                raise ValueError("cell refers to an atom out of range")
-            if np.any(seen[cell]):
-                raise ValueError("cells must be disjoint")
-            seen[cell] = True
-            index[cell] = k
-        if not seen.all():
+        atoms = np.concatenate(cells, dtype=int) if cells else np.empty(0, dtype=int)
+        if np.any(atoms < 0) or np.any(atoms >= n):
+            raise ValueError("cell refers to an atom out of range")
+        counts = np.bincount(atoms, minlength=n)
+        if np.any(counts > 1):
+            raise ValueError("cells must be disjoint")
+        if np.any(counts == 0):
             raise ValueError("cells must cover every atom")
+        index = np.empty(n, dtype=int)
+        index[atoms] = np.repeat(np.arange(len(cells)), sizes)
         object.__setattr__(self, "_cell_index", index)
 
     @property
@@ -142,8 +145,12 @@ def _check_same_space(x: Rv, partition: Partition) -> None:
 
 
 def _check_schedule(name: str, values, cast, least, min_len: int = 1) -> tuple:
-    """Cast each entry; check the length, the lower bound and strict increase."""
-    schedule = tuple(cast(v) for v in values)
+    """Cast each entry; check that an int cast keeps it, the length, the lower
+    bound and strict increase."""
+    values = tuple(values)
+    schedule = tuple(map(cast, values))
+    if cast is int and schedule != values:
+        raise ValueError(f"{name} must hold whole numbers")
     if len(schedule) < min_len or any(v < least for v in schedule):
         count = "two entries" if min_len == 2 else "one entry"
         raise ValueError(f"{name} needs at least {count}, each >= {least}")
@@ -204,7 +211,8 @@ class PNormLimitReport:
     bound: np.ndarray
 
     def within_bound(self, slack: float = 1e-12) -> bool:
-        return bool(np.all(self.relative_gap <= self.bound + slack))
+        gap = self.relative_gap
+        return bool(np.all((-slack <= gap) & (gap <= self.bound + slack)))
 
     def monotone_in_p(self) -> bool:
         return bool(np.all(np.diff(self.norms, axis=0) >= -1e-12))
@@ -214,16 +222,14 @@ def pnorm_limit_check(x: Rv, partition: Partition, p_schedule) -> PNormLimitRepo
     """Evaluate conditional p-norms along a p schedule against the ess sup."""
     schedule = _check_schedule("p_schedule", p_schedule, float, least=1)
     norms = np.vstack([cond_p_norm(x, p, partition).values for p in schedule])
-    probs = x.space.atom_probs
-    cells = partition.cell_index()
-    top = partition.cell_maxima(x.values)
-    sup = top[cells]
+    sup = cond_ess_sup(x, partition).values
     # a cell whose maximum is 0 holds only zeros, and so does its norm
     rel = (sup - norms[-1]) / np.where(sup > 0, sup, 1.0)
+    probs = x.space.atom_probs
     mass_top = partition.cell_sums(np.where(x.values == sup, probs, 0.0))
-    share_top = mass_top / partition.cell_sums(probs)
-    bound = np.where(top > 0, -np.log(share_top) / schedule[-1], 0.0)
-    return PNormLimitReport(schedule, norms, sup, rel, bound[cells])
+    share = (mass_top / partition.cell_sums(probs))[partition.cell_index()]
+    bound = np.where(sup > 0, -np.log(share) / schedule[-1], 0.0)
+    return PNormLimitReport(schedule, norms, sup, rel, bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,9 +279,6 @@ def pnorm_liminf_bound(
     deviations = np.empty(len(schedule))
     for k, n in enumerate(schedule):
         x_n = sequence(n)
-        _check_same_space(x_n, partition)
-        if np.any(x_n.values < 0):
-            raise ValueError("sequence values must be non-negative")
         norms[k] = cond_p_norm(x_n, float(n), partition).values
         deviations[k] = float(np.abs(x_n.values - limit_rv.values).max())
     tail_start = len(schedule) // 2
@@ -293,14 +296,10 @@ def conditional_holder_gap(x: Rv, y: Rv, partition: Partition, p: float) -> np.n
     """Per-atom slack of conditional Hoelder: ||X||_p ||Y||_q - E[XY | .] >= 0."""
     if not (math.isfinite(p) and p > 1):
         raise ValueError("p must exceed 1 so the conjugate exponent is finite")
-    _check_same_space(x, partition)
-    _check_same_space(y, partition)
-    if np.any(x.values < 0) or np.any(y.values < 0):
-        raise ValueError("Hoelder check uses non-negative variables")
     q = p / (p - 1.0)
-    product = Rv(x.space, x.values * y.values)
-    lhs = cond_expectation(product, partition).values
+    # the norms check both variables before their product is formed
     rhs = cond_p_norm(x, p, partition).values * cond_p_norm(y, q, partition).values
+    lhs = cond_expectation(Rv(x.space, x.values * y.values), partition).values
     return rhs - lhs
 
 
@@ -326,9 +325,6 @@ def dominated_convergence_trace(
     norms must converge to the conditional mean; the trace exhibits it.
     """
     schedule = _check_schedule("n_schedule", n_schedule, int, least=2)
-    _check_same_space(x, partition)
-    if np.any(x.values < 0):
-        raise ValueError("trace uses non-negative variables")
     target = cond_expectation(x, partition).values
     norms = np.empty((len(schedule), x.space.n_atoms))
     deviations = np.empty(len(schedule))

@@ -28,9 +28,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-MODELS, PRICING, VERIFY, MEASURE, PHILOX, OUTPUT, FINITEPROB = (
+MODELS, PRICING, VERIFY, MEASURE, PHILOX, OUTPUT, FINITEPROB, CONFIG = (
     f"src/longrates/{m}.py"
-    for m in ("models", "pricing", "verify", "measure", "philox", "output", "finiteprob")
+    for m in ("models", "pricing", "verify", "measure", "philox", "output",
+              "finiteprob", "config")
 )
 
 # name -> (file, old text, new text, test module)
@@ -264,6 +265,54 @@ MUTANTS = {
         "terms = np.log(probs) + p * np.where("
         "x.values > 0, np.log(np.maximum(x.values, 1e-300)), -np.inf)",
         "tests/test_finiteprob.py",
+    ),
+    "p-norm limit bound one-sided": (
+        FINITEPROB,
+        "return bool(np.all((-slack <= gap) & (gap <= self.bound + slack)))",
+        "return bool(np.all(gap <= self.bound + slack))",
+        "tests/test_finiteprob.py",
+    ),
+    "partition cells cast to int": (
+        FINITEPROB,
+        "cells = tuple(np.asarray(c) for c in self.cells)",
+        "cells = tuple(np.asarray(c, dtype=int) for c in self.cells)",
+        "tests/test_finiteprob.py",
+    ),
+    "bool partition cells accepted": (
+        FINITEPROB,
+        'if any(cell.ndim != 1 or cell.dtype.kind not in "iu" for cell in cells):',
+        'if any(cell.ndim != 1 or cell.dtype.kind not in "biu" for cell in cells):',
+        "tests/test_finiteprob.py",
+    ),
+    "p-norm sign check deleted": (
+        FINITEPROB,
+        "if np.any(x.values < 0):",
+        "if False:",
+        "tests/test_finiteprob.py",
+    ),
+    "n schedule cast without the whole-number check": (
+        FINITEPROB,
+        "if cast is int and schedule != values:",
+        "if False:",
+        "tests/test_finiteprob.py",
+    ),
+    "config cells of any JSON value": (
+        CONFIG,
+        "isinstance(c, list) and all(map(_is_integer, c)) for c in cells",
+        "isinstance(c, list) for c in cells",
+        "tests/test_cli.py",
+    ),
+    "transition rows read without the number rule": (
+        CONFIG,
+        "transition = [[_finite(v, message) for v in row] for row in transition]",
+        "pass",
+        "tests/test_cli.py",
+    ),
+    "method name not checked for a string": (
+        CONFIG,
+        "if not isinstance(method_name, str) or method_name not in _METHODS:",
+        "if method_name not in _METHODS:",
+        "tests/test_cli.py",
     ),
     "floats written with 16 digits": (
         OUTPUT,

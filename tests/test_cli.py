@@ -562,6 +562,12 @@ BROKEN_CONFIGS = {
                "model: intensity must be positive"),
     "transition": ("simulate", "markov2.json", "model", "transition", "x",
                    "model.transition must be a list of rows"),
+    "transition-text": ("verify-dir", "markov2.json", "model", "transition",
+                        [["0.5", "0.5"], ["0.5", "0.5"]],
+                        "model.transition must contain only finite numbers"),
+    "transition-bool": ("simulate", "markov2.json", "model", "transition",
+                        [[True, False], [0.5, 0.5]],
+                        "model.transition must contain only finite numbers"),
     "initial-state": ("simulate", "markov2.json", "model", "initial_state", 1.5,
                       "model.initial_state must be an integer"),
     "state-rates": ("simulate", "markov2.json", "model", "state_rates", [],
@@ -587,12 +593,24 @@ BROKEN_CONFIGS = {
     "epsilon-multiplier": ("verify-dir", "poisson.json", "tolerances",
                            "epsilon_multiplier", 0,
                            "tolerances.epsilon_multiplier must be positive"),
+    "method-list": ("verify-dir", "markov2.json", "tolerances", "method",
+                    ["plain_tail"], "tolerances.method must be 'plain_tail' or "
+                    "'reciprocal_extrapolation'"),
     "k-sigma": ("verify-measure", "markov2.json", "tolerances", "k_sigma", 0,
                 "tolerances.k_sigma must be positive"),
     "space": ("lemma-lab", "four_atoms.json", "space", "atom_probs",
               [0.5, 0.5, 0.5, -0.5], "space: atom probabilities must be strictly positive"),
     "cells-shape": ("lemma-lab", "four_atoms.json", "partition", "cells", [[0, 1], 2],
                     "partition.cells must be a list of lists of atom indices"),
+    "cells-fractional": ("lemma-lab", "four_atoms.json", "partition", "cells",
+                         [[0, 1.9], [2, 3]],
+                         "partition.cells must be a list of lists of atom indices"),
+    "cells-text": ("lemma-lab", "four_atoms.json", "partition", "cells",
+                   [["0", 1, 2, 3]],
+                   "partition.cells must be a list of lists of atom indices"),
+    "cells-bool": ("lemma-lab", "four_atoms.json", "partition", "cells",
+                   [[True, False], [2, 3]],
+                   "partition.cells must be a list of lists of atom indices"),
     "cells-overlap": ("lemma-lab", "four_atoms.json", "partition", "cells",
                       [[0, 1], [1, 2, 3]], "partition: cells must be disjoint"),
     "short-rv": ("lemma-lab", "four_atoms.json", "rv", "values", [1.0, 2.0, 3.0],

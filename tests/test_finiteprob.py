@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from longrates.finiteprob import (
     FiniteProbSpace,
     Partition,
+    PNormLimitReport,
     Rv,
     cond_ess_sup,
     cond_expectation,
@@ -66,10 +67,24 @@ class TestValidation:
             FOUR.partition([[0, 1], [2]])
         with pytest.raises(ValueError, match="disjoint"):
             FOUR.partition([[0, 1, 2], [2, 3]])
+        with pytest.raises(ValueError, match="disjoint"):
+            FOUR.partition([[0, 0, 1], [2, 3]])
         with pytest.raises(ValueError, match="range"):
             FOUR.partition([[0, 1], [2, 7]])
         with pytest.raises(ValueError, match="non-empty"):
             FOUR.partition([[0, 1, 2, 3], []])
+
+    @pytest.mark.parametrize("cells", [
+        [[0, 1.9], [2, 3]],
+        [["0", 1, 2, 3]],
+        [[True, False], [2, 3]],
+        [np.array([0.0, 1.0]), [2, 3]],
+        [0, 1, 2, 3],
+        [[[0, 1], [2, 3]]],
+    ], ids=["fraction", "text", "bool", "float-array", "flat", "nested"])
+    def test_partition_refuses_cells_that_are_not_integer_vectors(self, cells):
+        with pytest.raises(ValueError, match="integer"):
+            FOUR.partition(cells)
 
     def test_mismatched_spaces_rejected(self):
         x = FOUR.rv([1.0, 2.0, 3.0, 4.0])
@@ -203,6 +218,13 @@ class TestEssSupAndLimit:
         assert np.all(report.relative_gap >= 0.0)
         assert report.within_bound()
 
+    def test_a_norm_above_the_ess_sup_is_out_of_bound(self):
+        # norm 2 against an ess sup of 1: a relative gap of -1
+        report = PNormLimitReport(
+            (1.0,), np.array([[2.0]]), np.array([1.0]), np.array([-1.0]), np.array([0.0])
+        )
+        assert not report.within_bound()
+
     def test_all_zero_variable(self):
         x = FOUR.rv([0.0, 0.0, 0.0, 0.0])
         report = pnorm_limit_check(x, FOUR.trivial_partition(), [1, 10])
@@ -271,6 +293,8 @@ class TestLiminfBound:
             pnorm_liminf_bound(lambda n: limit, limit, part, [4], tol=0.1)
         with pytest.raises(ValueError, match="increasing"):
             pnorm_liminf_bound(lambda n: limit, limit, part, [4, 4], tol=0.1)
+        with pytest.raises(ValueError, match="whole numbers"):
+            pnorm_liminf_bound(lambda n: limit, limit, part, [2, 4.9], tol=0.1)
         with pytest.raises(ValueError, match="non-negative"):
             pnorm_liminf_bound(lambda n: limit, limit, part, [2, 4], tol=-0.1)
         bad = FOUR.rv([-1.0, 1.0, 1.0, 1.0])
@@ -328,6 +352,36 @@ class TestDominatedConvergence:
             dominated_convergence_trace(x, part, [1, 2])
         with pytest.raises(ValueError, match="increasing"):
             dominated_convergence_trace(x, part, [4, 2])
+        with pytest.raises(ValueError, match="whole numbers"):
+            dominated_convergence_trace(x, part, [2, 4.5])
+
+
+GOOD = FOUR.rv([1.0, 2.0, 3.0, 4.0])
+# each report builder leaves its variables' checks to the operators it calls
+BUILDERS = {
+    "cond_p_norm": lambda bad, part: cond_p_norm(bad, 2.0, part),
+    "pnorm_limit_check": lambda bad, part: pnorm_limit_check(bad, part, [1, 10]),
+    "pnorm_liminf_bound": lambda bad, part: pnorm_liminf_bound(
+        lambda n: bad, GOOD, part, [2, 4], tol=0.1),
+    "dominated_convergence_trace": lambda bad, part: dominated_convergence_trace(
+        bad, part, [2, 4]),
+    "holder_x": lambda bad, part: conditional_holder_gap(bad, GOOD, part, 2.0),
+    "holder_y": lambda bad, part: conditional_holder_gap(GOOD, bad, part, 2.0),
+}
+BAD_VARIABLES = {
+    "negative": (FOUR.rv([1.0, -2.0, 3.0, 4.0]), "non-negative"),
+    "other-space": (SKEW.rv([1.0, 2.0, 3.0, 4.0]), "different spaces"),
+    "other-size": (FiniteProbSpace(np.array([0.5, 0.5])).rv([1.0, 2.0]),
+                   "different spaces"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VARIABLES)
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_every_builder_refuses_a_bad_variable(builder, bad):
+    x, message = BAD_VARIABLES[bad]
+    with pytest.raises(ValueError, match=message):
+        BUILDERS[builder](x, FOUR.trivial_partition())
 
 
 def scale_space():
