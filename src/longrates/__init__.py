@@ -26,18 +26,14 @@ _EXPORTS = {
         "forward_zero_gap", "long_zero_from_x", "perron_long_rate",
         "x_from_long_zero",
     ),
-    "measure": (
-        "ForwardWeights", "TowerReport", "forward_expectation", "rn_weights",
-        "tower_identity_check",
-    ),
+    "measure": ("TowerReport", "tower_identity_check"),
     "models": (
         "ConstantRate", "MarkovChain", "McEstimate", "PoissonJump", "Regime",
         "ScenarioSet", "TimeGrid", "path_rng", "simulate_paths",
     ),
     "pricing": (
-        "Curve", "build_curves", "chain_log_prices",
-        "curves_from_log_prices", "log_price_closed_form", "price_closed_form",
-        "price_mc", "short_rate_consistency",
+        "Curve", "build_curves", "log_price_closed_form", "price_closed_form",
+        "price_mc",
     ),
     "verify": (
         "MonotonicityReport", "NonConvergenceError", "PoissonExampleReport",

@@ -15,6 +15,7 @@ bottom of the module produce.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -145,9 +146,14 @@ def _check_same_space(x: Rv, partition: Partition) -> None:
 
 
 def _check_schedule(name: str, values, cast, least, min_len: int = 1) -> tuple:
-    """Cast each entry; check that an int cast keeps it, the length, the lower
-    bound and strict increase."""
+    """Refuse an entry that is a bool or not a real number, then cast each
+    entry; check that an int cast keeps it, the length, the lower bound and
+    strict increase."""
     values = tuple(values)
+    # float() and int() would read True as 1 and "2" as 2
+    if any(isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)
+           for v in values):
+        raise ValueError(f"{name} must hold real numbers")
     schedule = tuple(map(cast, values))
     if cast is int and schedule != values:
         raise ValueError(f"{name} must hold whole numbers")

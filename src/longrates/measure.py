@@ -1,81 +1,21 @@
-"""The tower identity of bond prices, and the forward measure it implies.
+"""The tower identity of bond prices.
 
 `tower_identity_check` checks P(s, T) = E[(B_s / B_t) P(t, T)] from the state
-at s: the price at s is the discounted mean of the price at t. Dividing by
-P(s, t) turns the discounts into weights w = (B_s / B_t) / P(s, t) of mean 1,
-the t-forward measure; `rn_weights` builds them from scenarios and
-`forward_expectation` averages a payoff under them. The check uses neither.
+at s: the price at s is the discounted mean of the price at t.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
+from .models import ModelSpec, Regime
 
-from .models import McEstimate, ModelSpec, Regime, ScenarioSet
-
-__all__ = ["ForwardWeights", "TowerReport", "rn_weights", "forward_expectation",
-           "tower_identity_check"]
-
-
-@dataclass(frozen=True, eq=False)
-class ForwardWeights:
-    """Per-path forward-measure weights for the window [s, t]."""
-
-    s: float
-    t: float
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size < 2:
-            raise ValueError("need a vector of at least two weights")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be positive and finite")
-
-    @property
-    def n(self) -> int:
-        return int(self.weights.size)
-
-    def normalization(self) -> tuple[float, float]:
-        """Sample mean of the weights and its standard error.
-
-        The population mean is exactly 1 by construction, so a sample mean
-        many standard errors away signals a pricing or weighting bug.
-        """
-        est = McEstimate.of(self.weights)
-        return est.value, est.std_error
-
-
-def rn_weights(scenarios: ScenarioSet, s: float, t: float, price_s_t: float) -> ForwardWeights:
-    """Forward-measure weights (B_s / B_t) / P(s, t) for each path;
-    `ScenarioSet.discounts` checks that 0 <= s <= t <= horizon."""
-    if not (math.isfinite(price_s_t) and price_s_t > 0):
-        raise ValueError("P(s, t) must be positive and finite")
-    return ForwardWeights(float(s), float(t), scenarios.discounts(s, t) / price_s_t)
-
-
-def forward_expectation(weights: ForwardWeights, payoff) -> McEstimate:
-    """Self-normalized weighted mean of a payoff with delta-method error."""
-    values = np.asarray(payoff, dtype=float)
-    if values.shape != weights.weights.shape:
-        raise ValueError("payoff must align with the weights")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("payoff must be finite")
-    w = weights.weights
-    total = float(w.sum())
-    estimate = float(np.dot(w, values) / total)
-    # delta-method standard error of a ratio estimator
-    se = float(np.sqrt(np.sum((w * (values - estimate)) ** 2)) / total)
-    return McEstimate(estimate, se, weights.n)
+__all__ = ["TowerReport", "tower_identity_check"]
 
 
 @dataclass(frozen=True)
 class TowerReport:
-    """Comparison of P(s, T) with the reweighted forecast of P(t, T) at the
+    """Comparison of P(s, T) with the discounted forecast of P(t, T) at the
     initial state. A chain's gap is the largest |rhs - lhs| over all its
     states; the other models report rhs - lhs at the initial state."""
 

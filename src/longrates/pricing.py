@@ -5,7 +5,7 @@ at output boundaries. Long-maturity prices decay geometrically, so working in
 logs keeps curves finite far beyond where raw prices would underflow. One
 `Curve` holds the log prices on a maturity grid together with the forward,
 zero and price-growth (x) curves read off them; `build_curves` prices it from
-a model state and `curves_from_log_prices` from supplied log prices.
+a model state.
 
 Monte Carlo pricing restarts the simulation from the conditioning state.
 Every supported model is Markov in its state, so the conditional expectation
@@ -22,26 +22,20 @@ import numpy as np
 
 from .models import (
     STREAM_PRICING,
-    MarkovChain,
     McEstimate,
     ModelSpec,
     Regime,
     _periods,
-    _price_pass,
     _window_grid,
     simulate_paths,
 )
 
 __all__ = [
-    "McEstimate",
     "Curve",
     "log_price_closed_form",
     "price_closed_form",
-    "chain_log_prices",
     "price_mc",
     "build_curves",
-    "curves_from_log_prices",
-    "short_rate_consistency",
 ]
 
 
@@ -77,12 +71,6 @@ def price_closed_form(
     model: ModelSpec, state, t: float, T: float, regime: Regime
 ) -> float:
     return math.exp(log_price_closed_form(model, state, t, T, regime))
-
-
-def chain_log_prices(model: MarkovChain, horizons) -> dict[int, np.ndarray]:
-    """Log n-period prices from every chain state, for each n in horizons,
-    from the chain's one price pass (`models._price_pass`)."""
-    return _price_pass(model, horizons)[0]
 
 
 def price_mc(
@@ -126,7 +114,10 @@ def build_curves(
     mats = np.asarray(maturities, dtype=float)
     if mats.ndim != 1 or mats.size == 0:
         raise ValueError("maturities must be a non-empty vector")
-    _check_maturities(t, mats)
+    if np.any(np.diff(mats) <= 0):
+        raise ValueError("maturities must be strictly increasing")
+    if mats[0] <= t:
+        raise ValueError("maturities must exceed the observation time")
     if regime is Regime.DISCRETE:
         both = np.concatenate([mats, mats + 1])
         lp = model.log_price_table([state], t, both, regime)[0]
@@ -135,35 +126,6 @@ def build_curves(
         raise ValueError("continuous curves need at least two maturities")
     lp = model.log_price_table([state], t, mats, regime)[0]
     return _curves(t, mats, lp, regime)
-
-
-def curves_from_log_prices(t: float, maturities, log_prices, regime: Regime) -> Curve:
-    """Curve from externally supplied log prices (synthetic or tabulated).
-
-    In the discrete regime the maturities must be consecutive integers and
-    the last one is consumed as the successor needed by the final forward
-    rate, so the returned curve stops one period earlier.
-    """
-    mats = np.asarray(maturities, dtype=float)
-    lp = np.asarray(log_prices, dtype=float)
-    if mats.shape != lp.shape or mats.ndim != 1 or mats.size < 2:
-        raise ValueError("need aligned vectors of at least two maturities")
-    _check_maturities(t, mats)
-    if regime is Regime.DISCRETE:
-        if np.any(np.diff(_periods(t, mats)) != 1):
-            raise ValueError(
-                "discrete curves need consecutive integer maturities; the "
-                "forward rate at T uses the price at T + 1"
-            )
-        return _curves(t, mats[:-1], lp[:-1], regime, lp[1:])
-    return _curves(t, mats, lp, regime)
-
-
-def _check_maturities(t, mats: np.ndarray) -> None:
-    if np.any(np.diff(mats) <= 0):
-        raise ValueError("maturities must be strictly increasing")
-    if mats[0] <= t:
-        raise ValueError("maturities must exceed the observation time")
 
 
 def _curves(t, mats: np.ndarray, lp: np.ndarray, regime: Regime, lp_next=None) -> Curve:
@@ -184,21 +146,3 @@ def _curves(t, mats: np.ndarray, lp: np.ndarray, regime: Regime, lp_next=None) -
     if np.any(x <= 0):
         raise ValueError("x values must be positive")
     return Curve(mats, lp, forward, zero, x)
-
-
-def short_rate_consistency(
-    model: ModelSpec, state, t: float, regime: Regime, step: float = 0.01
-) -> float:
-    """|f(t, t) - short rate|; the instantaneous forward must return the rate.
-
-    Discrete: exact via f(t, t) = 1 / P(t, t+1) - 1. Continuous: one-sided
-    difference over `step`, so the gap is O(step) for jump models.
-    """
-    if regime is Regime.DISCRETE:
-        f_tt = math.expm1(-log_price_closed_form(model, state, t, t + 1, regime))
-    else:
-        if not 0 < step < math.inf:
-            raise ValueError("step must be positive and finite")
-        lp = log_price_closed_form(model, state, t, t + step, regime)
-        f_tt = -lp / step
-    return abs(f_tt - model.rate_of(state))

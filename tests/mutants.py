@@ -28,10 +28,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-MODELS, PRICING, VERIFY, MEASURE, PHILOX, OUTPUT, FINITEPROB, CONFIG = (
+MODELS, PRICING, VERIFY, PHILOX, OUTPUT, FINITEPROB, CONFIG = (
     f"src/longrates/{m}.py"
-    for m in ("models", "pricing", "verify", "measure", "philox", "output",
-              "finiteprob", "config")
+    for m in ("models", "pricing", "verify", "philox", "output", "finiteprob",
+              "config")
 )
 
 # name -> (file, old text, new text, test module)
@@ -102,11 +102,35 @@ MUTANTS = {
         "if T < t:",
         "tests/test_pricing.py",
     ),
-    "step check that NaN and inf pass": (
+    "first maturity at t accepted": (
         PRICING,
-        "if not 0 < step < math.inf:",
-        "if step <= 0:",
+        "if mats[0] <= t:",
+        "if mats[0] < t:",
         "tests/test_pricing.py",
+    ),
+    "repeated maturities accepted": (
+        PRICING,
+        "if np.any(np.diff(mats) <= 0):",
+        "if np.any(np.diff(mats) < 0):",
+        "tests/test_pricing.py",
+    ),
+    "Monte Carlo price refuses 2 paths": (
+        PRICING,
+        "if n < 2:",
+        "if n <= 2:",
+        "tests/test_pricing.py",
+    ),
+    "continuous curve refuses 2 maturities": (
+        PRICING,
+        "if mats.size < 2:",
+        "if mats.size <= 2:",
+        "tests/test_pricing.py",
+    ),
+    "discrete constant rate of -1 accepted": (
+        MODELS,
+        "if regime is Regime.DISCRETE and self.rate <= -1.0:",
+        "if regime is Regime.DISCRETE and self.rate < -1.0:",
+        "tests/test_models.py",
     ),
     "Perron root without the max over reached classes": (
         MODELS,
@@ -211,12 +235,6 @@ MUTANTS = {
         "if False:",
         "tests/test_models.py",
     ),
-    "forward weights from time 0": (
-        MEASURE,
-        "scenarios.discounts(s, t) / price_s_t",
-        "scenarios.discounts(0, t) / price_s_t",
-        "tests/test_measure.py",
-    ),
     "1 % of extractions let through unconverged": (
         VERIFY,
         "if n_nonconv:",
@@ -293,6 +311,13 @@ MUTANTS = {
     "n schedule cast without the whole-number check": (
         FINITEPROB,
         "if cast is int and schedule != values:",
+        "if False:",
+        "tests/test_finiteprob.py",
+    ),
+    "schedules cast bools and text": (
+        FINITEPROB,
+        "if any(isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)\n"
+        "           for v in values):",
         "if False:",
         "tests/test_finiteprob.py",
     ),

@@ -384,6 +384,26 @@ def test_every_builder_refuses_a_bad_variable(builder, bad):
         BUILDERS[builder](x, FOUR.trivial_partition())
 
 
+# float() and int() read a bool as 0 or 1 and a numeric text as its number
+SCHEDULE_BUILDERS = {
+    "pnorm_limit_check": lambda schedule: pnorm_limit_check(
+        GOOD, FOUR.trivial_partition(), schedule),
+    "pnorm_liminf_bound": lambda schedule: pnorm_liminf_bound(
+        lambda n: GOOD, GOOD, FOUR.trivial_partition(), schedule, tol=0.1),
+    "dominated_convergence_trace": lambda schedule: dominated_convergence_trace(
+        GOOD, FOUR.trivial_partition(), schedule),
+}
+
+
+@pytest.mark.parametrize("schedule", [
+    [True, "2", "10"], [True, 2, 4], [2, np.True_, 4], [2, "4"], [2, None],
+], ids=["bool-and-text", "bool-first", "numpy-bool", "text", "none"])
+@pytest.mark.parametrize("builder", SCHEDULE_BUILDERS)
+def test_schedules_refuse_bools_and_text(builder, schedule):
+    with pytest.raises(ValueError, match="must hold real numbers"):
+        SCHEDULE_BUILDERS[builder](schedule)
+
+
 def scale_space():
     """2,400 atoms in 300 cells: 20 singletons, one all-zero cell, some zero
     atoms elsewhere, and values rounded to 0.1 so cell maxima tie."""

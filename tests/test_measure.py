@@ -5,24 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longrates.measure import (
-    ForwardWeights,
-    TowerReport,
-    forward_expectation,
-    rn_weights,
-    tower_identity_check,
-)
+from longrates.measure import TowerReport, tower_identity_check
 from longrates.models import (
     ConstantRate,
     MarkovChain,
+    McEstimate,
     PoissonJump,
     Regime,
     STREAM_CONTINUATION,
     TimeGrid,
+    _price_pass,
     path_rng,
     simulate_paths,
 )
-from longrates.pricing import chain_log_prices, price_closed_form
+from longrates.pricing import price_closed_form
 
 from jump_law import sample_jump_times
 
@@ -31,75 +27,6 @@ POISSON = PoissonJump(0.05, 0.1, 0.5)
 SLOW2 = MarkovChain([0.0, 0.001], [[1 - 1e-4, 1e-4], [1e-4, 1 - 1e-4]], 0)
 _rng = np.random.default_rng(16)
 RANDOM16 = MarkovChain(_rng.uniform(0.0, 0.1, 16), _rng.dirichlet(np.ones(16), 16), 0)
-
-
-class TestWeights:
-    def test_constant_model_weights_are_exactly_one(self):
-        model = ConstantRate(0.03)
-        grid = TimeGrid(Regime.DISCRETE, 6)
-        scen = simulate_paths(model, grid, 50, seed=1)
-        price = price_closed_form(model, None, 1, 4, Regime.DISCRETE)
-        fw = rn_weights(scen, 1, 4, price)
-        # B_s / B_t = P(s, t) path by path when the rate is deterministic
-        assert np.all(fw.weights == 1.0)
-        mean, se = fw.normalization()
-        assert mean == 1.0 and se == 0.0
-
-    def test_poisson_weights_average_to_one(self):
-        grid = TimeGrid(Regime.CONTINUOUS, 3.0, output_step=1.0)
-        scen = simulate_paths(POISSON, grid, 20_000, seed=11)
-        price = price_closed_form(POISSON, None, 0.0, 3.0, Regime.CONTINUOUS)
-        mean, se = rn_weights(scen, 0.0, 3.0, price).normalization()
-        assert abs(mean - 1.0) <= 4.0 * se
-
-    def test_chain_weights_average_to_one(self):
-        grid = TimeGrid(Regime.DISCRETE, 5)
-        scen = simulate_paths(SYM2, grid, 20_000, seed=12)
-        price = float(np.exp(chain_log_prices(SYM2, [5])[5][SYM2.initial_state]))
-        mean, se = rn_weights(scen, 0, 5, price).normalization()
-        assert abs(mean - 1.0) <= 4.0 * se
-
-    def test_invalid_arguments(self):
-        grid = TimeGrid(Regime.DISCRETE, 4)
-        scen = simulate_paths(SYM2, grid, 10, seed=0)
-        with pytest.raises(ValueError, match="positive"):
-            rn_weights(scen, 0, 2, 0.0)
-        with pytest.raises(ValueError, match="horizon"):
-            rn_weights(scen, 0, 9, 0.5)
-        with pytest.raises(ValueError, match="integer"):
-            rn_weights(scen, 0.5, 2, 0.9)
-        with pytest.raises(ValueError):
-            rn_weights(scen, 3, 2, 0.9)
-
-    def test_weight_vector_validation(self):
-        with pytest.raises(ValueError, match="two"):
-            ForwardWeights(0, 1, np.array([1.0]))
-        with pytest.raises(ValueError, match="positive"):
-            ForwardWeights(0, 1, np.array([1.0, -0.5]))
-
-
-class TestForwardExpectation:
-    def test_hand_oracle(self):
-        fw = ForwardWeights(0, 1, np.array([1.0, 3.0]))
-        est = forward_expectation(fw, [2.0, 6.0])
-        # (1*2 + 3*6) / 4 = 5; se = sqrt((1*-3)^2 + (3*1)^2) / 4
-        assert est.value == 5.0
-        assert est.std_error == pytest.approx(math.sqrt(18.0) / 4.0, rel=1e-15)
-        assert est.n == 2
-
-    def test_payoff_scaling(self):
-        fw = ForwardWeights(0, 1, np.array([0.5, 1.2, 2.0, 0.3]))
-        base = forward_expectation(fw, [1.0, 2.0, 3.0, 4.0])
-        scaled = forward_expectation(fw, [7.0, 14.0, 21.0, 28.0])
-        assert scaled.value == pytest.approx(7.0 * base.value, rel=1e-14)
-        assert scaled.std_error == pytest.approx(7.0 * base.std_error, rel=1e-14)
-
-    def test_misaligned_or_bad_payoff(self):
-        fw = ForwardWeights(0, 1, np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="align"):
-            forward_expectation(fw, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="finite"):
-            forward_expectation(fw, [1.0, np.inf])
 
 
 class TestTowerIdentity:
@@ -151,6 +78,15 @@ class TestTowerIdentity:
         assert abs(report.gap) <= 3.0 * report.se
         assert report.passed()
 
+    def test_poisson_at_maturity_within_monte_carlo_error(self):
+        # t == T: P(t, T) is 1 on every path, and the check prices P(s, T)
+        report = tower_identity_check(
+            POISSON, 1.0, 6.0, 6.0, Regime.CONTINUOUS, n=20_000, seed=4
+        )
+        assert not report.exact
+        assert report.se > 0
+        assert abs(report.gap) <= 3.0 * report.se
+
     def test_poisson_equals_per_path_route(self):
         # the check reads whole scenario arrays; it must return exactly the
         # report of the same continuations drawn and priced one by one
@@ -188,31 +124,29 @@ class TestTowerIdentity:
 
 
 class TestFullPipeline:
-    def test_reweighted_chain_forecast_matches_price_ratio(self):
+    """Simulated discounts and states against exact prices: the mean of
+    (B_s / B_t) P(t, T) over paths is P(s, T)."""
+
+    def test_discounted_chain_forecast_matches_the_price(self):
         s, t, T = 0, 2, 7
         grid = TimeGrid(Regime.DISCRETE, t)
         scen = simulate_paths(SYM2, grid, 40_000, seed=5)
-        lp = chain_log_prices(SYM2, [t - s, T - s, T - t])
-        p_st = float(np.exp(lp[t - s][SYM2.initial_state]))
-        p_sT = float(np.exp(lp[T - s][SYM2.initial_state]))
-        fw = rn_weights(scen, s, t, p_st)
+        lp = _price_pass(SYM2, [T - s, T - t])[0]
         payoff = np.exp(lp[T - t][scen.states_at((t,))[:, 0]])
-        est = forward_expectation(fw, payoff)
-        assert abs(est.value - p_sT / p_st) <= 3.5 * est.std_error
+        est = McEstimate.of(scen.discounts(s, t) * payoff)
+        assert abs(est.value - np.exp(lp[T - s][SYM2.initial_state])) <= 3.5 * est.std_error
 
-    def test_reweighted_poisson_forecast_matches_price_ratio(self):
+    def test_discounted_poisson_forecast_matches_the_price(self):
         s, t, T = 0.0, 2.0, 9.0
         grid = TimeGrid(Regime.CONTINUOUS, t, output_step=0.5)
         scen = simulate_paths(POISSON, grid, 40_000, seed=9)
-        p_st = price_closed_form(POISSON, None, s, t, Regime.CONTINUOUS)
         p_sT = price_closed_form(POISSON, None, s, T, Regime.CONTINUOUS)
-        fw = rn_weights(scen, s, t, p_st)
         payoff = np.array([
             price_closed_form(POISSON, state, t, T, Regime.CONTINUOUS)
             for state in scen.states_at((t,))[:, 0]
         ])
-        est = forward_expectation(fw, payoff)
-        assert abs(est.value - p_sT / p_st) <= 3.5 * est.std_error
+        est = McEstimate.of(scen.discounts(s, t) * payoff)
+        assert abs(est.value - p_sT) <= 3.5 * est.std_error
 
 
 class TestOnePriceTablePerSetOfStates:

@@ -184,8 +184,9 @@ class TestModelValidation:
         assert SYM2.regimes == {Regime.DISCRETE}
         with pytest.raises(ValueError, match="regime"):
             SYM2.require_regime(Regime.CONTINUOUS)
-        with pytest.raises(ValueError, match="1 \\+ R > 0"):
-            ConstantRate(-1.5).require_regime(Regime.DISCRETE)
+        for rate in (-1.5, -1.0):
+            with pytest.raises(ValueError, match="1 \\+ R > 0"):
+                ConstantRate(rate).require_regime(Regime.DISCRETE)
 
     def test_labels(self):
         assert SYM2.label == "markov_chain(2 states)"
@@ -623,6 +624,13 @@ class TestBankAccount:
         scen = simulate_paths(SYM2, TimeGrid(Regime.DISCRETE, 8), 4, 0)
         with pytest.raises(ValueError, match="s <= t"):
             scen.discounts(5, 2)
+
+    def test_discrete_window_must_lie_in_whole_periods_of_the_horizon(self):
+        scen = simulate_paths(SYM2, TimeGrid(Regime.DISCRETE, 4), 10, 0)
+        with pytest.raises(ValueError, match="horizon"):
+            scen.discounts(0, 9)
+        with pytest.raises(ValueError, match="integers"):
+            scen.discounts(0.5, 2)
 
     def test_continuous_flat_path(self):
         scen = jump_set(0.04, 0.0, [[]], 10.0)

@@ -10,22 +10,20 @@ from mpmath import mp
 from longrates.models import (
     ConstantRate,
     MarkovChain,
+    McEstimate,
     PoissonJump,
     Regime,
     STREAM_PRICING,
     TimeGrid,
+    _price_pass,
     path_rng,
     simulate_paths,
 )
 from longrates.pricing import (
-    McEstimate,
     build_curves,
-    chain_log_prices,
-    curves_from_log_prices,
     log_price_closed_form,
     price_closed_form,
     price_mc,
-    short_rate_consistency,
 )
 
 from jump_law import sample_jump_times
@@ -106,14 +104,14 @@ class TestClosedForms:
         assert got == pytest.approx(enumerate_chain_price(chain, n), rel=1e-13)
 
     def test_chain_state_argument_selects_row(self):
-        lp = chain_log_prices(CHAIN3, [4])[4]
+        lp = _price_pass(CHAIN3, [4])[0][4]
         for state in range(3):
             assert log_price_closed_form(
                 CHAIN3, state, 0, 4, Regime.DISCRETE
             ) == pytest.approx(float(lp[state]), abs=1e-15)
 
     def test_chain_long_horizon_stays_finite(self):
-        lp = chain_log_prices(SYM2, [5000])[5000]
+        lp = _price_pass(SYM2, [5000])[0][5000]
         assert np.all(np.isfinite(lp))
         # per-period decay approaches the Perron factor 21/22
         assert lp[0] / 5000 == pytest.approx(math.log(21 / 22), abs=1e-3)
@@ -196,7 +194,7 @@ class TestChainPowers:
         # absolute error of order n * eps; on a slowly mixing chain log P is
         # small, so that is a large relative error, and only the absolute
         # bound is a fair one
-        got = chain_log_prices(chain, POWER_HORIZONS)
+        got = _price_pass(chain, POWER_HORIZONS)[0]
         eps = np.finfo(float).eps
         with mp.workdps(40):
             discounted = [[mp.mpf(float(d)) for d in row]
@@ -218,7 +216,7 @@ class TestChainPowers:
                              ids=["sym2", "chain3", "random-16"])
     def test_horizon_sets_match_a_step_by_step_loop(self, chain, horizons):
         want = {int(n) for n in horizons}
-        got = chain_log_prices(chain, horizons)
+        got = _price_pass(chain, horizons)[0]
         assert list(got) == sorted(want)
         expected = step_by_step_log_prices(chain, want)
         for n in want:
@@ -230,13 +228,13 @@ class TestChainPowers:
         # per-state curves and the certificate's table ask for different
         # horizon sets and must read the same prices
         chain = random_chain(8, 3)
-        together = chain_log_prices(chain, range(0, 600, 7))
+        together = _price_pass(chain, range(0, 600, 7))[0]
         for n in (0, 7, 252, 595):
-            assert np.array_equal(chain_log_prices(chain, [n])[n], together[n])
+            assert np.array_equal(_price_pass(chain, [n])[0][n], together[n])
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            chain_log_prices(SYM2, [3, -1])
+            _price_pass(SYM2, [3, -1])
 
 
 class TestPriceMc:
@@ -336,6 +334,7 @@ class TestPriceMc:
     def test_needs_two_paths(self):
         with pytest.raises(ValueError, match="at least 2"):
             price_mc(SYM2, None, 0, 3, 1, 0, Regime.DISCRETE)
+        assert price_mc(SYM2, None, 0, 3, 2, 0, Regime.DISCRETE).n == 2
 
 
 class TestCurves:
@@ -373,37 +372,16 @@ class TestCurves:
             [log_price_closed_form(POISSON, None, 0.0, T, Regime.CONTINUOUS)
              for T in mats]) / mats))) <= 1e-15
 
-    def test_curves_from_log_prices_discrete_consumes_successor(self):
-        mats = np.arange(1, 6)
-        lp = np.array([log_price_closed_form(SYM2, None, 0, int(T), Regime.DISCRETE)
-                       for T in mats])
-        rates = curves_from_log_prices(0, mats, lp, Regime.DISCRETE)
-        assert rates.maturities.tolist() == [1, 2, 3, 4]
-        direct = build_curves(SYM2, None, 0, mats[:-1], Regime.DISCRETE)
-        assert np.allclose(rates.forward, direct.forward, atol=1e-15)
-
-    def test_curves_from_log_prices_requires_consecutive_integers(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            curves_from_log_prices(0, [1, 3, 5], [-0.01, -0.03, -0.05],
-                                   Regime.DISCRETE)
-
-    def test_curves_from_log_prices_requires_a_whole_observation_time(self):
-        with pytest.raises(ValueError, match="discrete times must be integers"):
-            curves_from_log_prices(0.5, [1, 2, 3, 4], [-0.01, -0.02, -0.03, -0.04],
-                                   Regime.DISCRETE)
-
     def test_averaging_pulls_zero_toward_forward(self):
-        # forward 0.05 + 1/(1+T) drifts down; zero averages it, so the gap
-        # |f - z| decays like log(T)/T
-        horizons = np.array([10.0, 100.0, 1000.0, 10_000.0, 100_000.0])
+        # the jump model's forward 0.55 - 0.5 exp(-0.1 T) rises to its limit;
+        # the zero rate averages it, so the gap |f - z| decays like 5 / T
         gaps = []
-        for top in horizons:
+        for top in (10.0, 100.0, 1000.0, 10_000.0, 100_000.0):
             mats = np.linspace(top / 200.0, top, 400)
-            lp = -(0.05 * mats + np.log1p(mats))
-            rates = curves_from_log_prices(0.0, mats, lp, Regime.CONTINUOUS)
+            rates = build_curves(POISSON, None, 0.0, mats, Regime.CONTINUOUS)
             gaps.append(abs(rates.forward[-1] - rates.zero[-1]))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] <= 1.1e-4
+        assert gaps[-1] <= 5.5e-5
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -414,36 +392,27 @@ class TestCurves:
             build_curves(SYM2, None, 0, [1.5, 2.5], Regime.DISCRETE)
         with pytest.raises(ValueError, match="two maturities"):
             build_curves(POISSON, None, 0.0, [5.0], Regime.CONTINUOUS)
+        # the first maturity must lie past t, and no maturity may repeat
+        with pytest.raises(ValueError, match="exceed"):
+            build_curves(SYM2, None, 3, [3, 4], Regime.DISCRETE)
+        with pytest.raises(ValueError, match="increasing"):
+            build_curves(SYM2, None, 0, [2, 2, 3], Regime.DISCRETE)
+        with pytest.raises(ValueError, match="discrete times must be integers"):
+            build_curves(SYM2, None, 0.5, [1, 2, 3], Regime.DISCRETE)
+
+    def test_continuous_curve_from_two_maturities(self):
+        rates = build_curves(POISSON, None, 0.0, [1.0, 2.0], Regime.CONTINUOUS)
+        slope = -(rates.log_prices[1] - rates.log_prices[0])
+        assert rates.forward.tolist() == [slope, slope]
 
     def test_discount_curve_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="finite"):
-            curves_from_log_prices(0.0, [1.0, 2.0], [-0.1, -np.inf], Regime.CONTINUOUS)
-        with pytest.raises(ValueError, match="increasing"):
-            curves_from_log_prices(0.0, [2.0, 1.0], [-0.1, -0.2], Regime.CONTINUOUS)
+        # a rate of 1e308 over two years overflows the log price to -inf
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="log prices must be finite"):
+            build_curves(PoissonJump(1e308, 0.1, 0.5), None, 0.0, [1.0, 2.0],
+                         Regime.CONTINUOUS)
 
     def test_curve_rejects_x_that_underflows_to_zero(self):
         # finite log price, but exp(-1e6 / 1) is 0.0 in double precision
         with pytest.raises(ValueError, match="x values must be positive"):
-            curves_from_log_prices(0.0, [1.0, 2.0], [-1e6, -0.2], Regime.CONTINUOUS)
-
-
-class TestShortRateConsistency:
-    def test_discrete_models_are_exact(self):
-        assert short_rate_consistency(SYM2, 0, 0, Regime.DISCRETE) <= 1e-15
-        assert short_rate_consistency(CHAIN3, 2, 0, Regime.DISCRETE) <= 1e-15
-        assert short_rate_consistency(
-            ConstantRate(0.03), None, 4, Regime.DISCRETE
-        ) <= 1e-15
-
-    def test_continuous_gap_is_order_step(self):
-        step = 0.01
-        gap = short_rate_consistency(POISSON, None, 0.0, Regime.CONTINUOUS, step)
-        assert gap <= 0.5 * 0.1 * step  # lam * delta * step bounds the curvature
-        finer = short_rate_consistency(POISSON, None, 0.0, Regime.CONTINUOUS,
-                                       step / 10)
-        assert finer < gap
-
-    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
-    def test_step_must_be_positive_and_finite(self, step):
-        with pytest.raises(ValueError, match="step must be positive"):
-            short_rate_consistency(POISSON, None, 0.0, Regime.CONTINUOUS, step)
+            build_curves(ConstantRate(1e6), None, 0.0, [1.0, 2.0], Regime.CONTINUOUS)
