@@ -397,6 +397,8 @@ class TestCurves:
             build_curves(SYM2, None, 3, [3, 4], Regime.DISCRETE)
         with pytest.raises(ValueError, match="increasing"):
             build_curves(SYM2, None, 0, [2, 2, 3], Regime.DISCRETE)
+
+    def test_curves_from_log_prices_requires_a_whole_observation_time(self):
         with pytest.raises(ValueError, match="discrete times must be integers"):
             build_curves(SYM2, None, 0.5, [1, 2, 3], Regime.DISCRETE)
 
